@@ -21,22 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from randgen import random_instance  # noqa: E402
 
-from foon import (  # noqa: E402
-    INPUT_COUNT,
-    SUCCESS_RATE,
-    SearchConfig,
-    gbfs_search,
-    ids_search,
-)
-
-
-def run_algorithm(name, instance):
-    if name == "ids":
-        return ids_search(instance.graph, instance.kitchen, instance.goal)
-    heuristic = SUCCESS_RATE if name == "gbfs_a" else INPUT_COUNT
-    return gbfs_search(
-        instance.graph, instance.kitchen, instance.goal, SearchConfig(heuristic=heuristic)
-    )
+from foon import ALGORITHMS, run_algorithm  # noqa: E402
 
 
 def main(argv=None):
@@ -47,7 +32,7 @@ def main(argv=None):
     parser.add_argument("--max-keys", type=int, default=25)
     args = parser.parse_args(argv)
 
-    algorithms = ("ids", "gbfs_a", "gbfs_b")
+    algorithms = tuple(ALGORITHMS)
     solved = {a: 0 for a in algorithms}
     units = {a: [] for a in algorithms}
     expanded = {a: [] for a in algorithms}
@@ -64,7 +49,7 @@ def main(argv=None):
         outcomes = {}
         for name in algorithms:
             start = time.perf_counter()
-            outcome = run_algorithm(name, instance)
+            outcome = run_algorithm(name, instance.graph, instance.kitchen, instance.goal)
             elapsed[name] += time.perf_counter() - start
             outcomes[name] = outcome
             if outcome.solved:

@@ -17,11 +17,10 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .core import FoonError, FoonGraph, Kitchen, ObjectNode, build_graph, validate_tree
+from .core import FoonError, FoonGraph, Kitchen, ObjectNode, build_graph
 from .parsing import (
     ERROR,
     apply_motion_rates,
@@ -32,17 +31,7 @@ from .parsing import (
     parse_motion_rates,
     serialize_task_tree,
 )
-from .search import (
-    INPUT_COUNT,
-    SOLVED,
-    SUCCESS_RATE,
-    SearchConfig,
-    SearchOutcome,
-    gbfs_search,
-    ids_search,
-)
-
-ALGORITHMS = ("ids", "gbfs_a", "gbfs_b")
+from .search import ALGORITHMS, SOLVED, run_algorithm
 
 
 @dataclass(frozen=True)
@@ -57,15 +46,6 @@ class ReportRow:
 
 class _InputError(FoonError):
     """Unusable input file; maps to exit code 1."""
-
-
-def _search(algorithm: str, graph, kitchen, goal, max_depth: int) -> SearchOutcome:
-    if algorithm == "ids":
-        return ids_search(graph, kitchen, goal, SearchConfig(max_depth=max_depth))
-    heuristic = SUCCESS_RATE if algorithm == "gbfs_a" else INPUT_COUNT
-    return gbfs_search(
-        graph, kitchen, goal, SearchConfig(max_depth=max_depth, heuristic=heuristic)
-    )
 
 
 def slugify(label: str) -> str:
@@ -110,67 +90,45 @@ def load_inputs(args) -> tuple[FoonGraph, Kitchen, list[ObjectNode]]:
     return graph, kitchen, goals
 
 
-def _process_goal(
-    graph: FoonGraph,
-    kitchen: Kitchen,
-    goal: ObjectNode,
-    slug: str,
-    algorithms,
-    max_depth: int,
-    out_dir: Path,
-    emit_dot: bool,
-) -> list[ReportRow]:
-    rows: list[ReportRow] = []
-    for algorithm in algorithms:
-        outcome = _search(algorithm, graph, kitchen, goal, max_depth)
-        count = None
-        if outcome.solved:
-            report = validate_tree(graph, kitchen, outcome.tree)
-            if not report.ok:
-                raise RuntimeError(
-                    f"internal error: invalid tree for {goal.label!r}: "
-                    + "; ".join(report.violations)
-                )
-            count = len(outcome.tree.steps)
-            stem = out_dir / f"{slug}_{algorithm}"
-            stem.with_suffix(".txt").write_text(
-                serialize_task_tree(outcome.tree), encoding="utf-8"
-            )
-            if emit_dot:
-                stem.with_suffix(".dot").write_text(
-                    export_dot(outcome.tree), encoding="utf-8"
-                )
-        rows.append(
-            ReportRow(
-                goal_label=goal.label,
-                algorithm=algorithm,
-                status=outcome.status,
-                functional_unit_count=count,
-                nodes_expanded=outcome.stats.nodes_expanded,
-                elapsed_seconds=outcome.stats.elapsed_seconds,
-            )
-        )
-    return rows
-
-
 def _run_goals(args, algorithms) -> list[ReportRow]:
     graph, kitchen, goals = load_inputs(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    slugs = _assign_slugs(goals)
+    rows: list[ReportRow] = []
+    for goal, slug in zip(goals, _assign_slugs(goals)):
+        for algorithm in algorithms:
+            # Searches return only validated trees; they are written as is.
+            outcome = run_algorithm(algorithm, graph, kitchen, goal, args.max_depth)
+            tree = outcome.tree if outcome.solved else None
+            if tree is not None:
+                # Appended, not Path.with_suffix, which would cut a dotted
+                # label such as "1.5 cup" at its first dot.
+                stem = f"{slug}_{algorithm}"
+                text = serialize_task_tree(tree)
+                (out_dir / f"{stem}.txt").write_text(text, encoding="utf-8")
+                if args.emit_dot:
+                    dot = export_dot(tree)
+                    (out_dir / f"{stem}.dot").write_text(dot, encoding="utf-8")
+            rows.append(
+                ReportRow(
+                    goal_label=goal.label,
+                    algorithm=algorithm,
+                    status=outcome.status,
+                    functional_unit_count=None if tree is None else len(tree.steps),
+                    nodes_expanded=outcome.stats.nodes_expanded,
+                    elapsed_seconds=outcome.stats.elapsed_seconds,
+                )
+            )
+    return rows
 
-    def work(pair) -> list[ReportRow]:
-        goal, slug = pair
-        return _process_goal(
-            graph, kitchen, goal, slug, algorithms, args.max_depth, out_dir, args.emit_dot
-        )
 
-    if args.jobs > 1 and len(goals) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            per_goal = list(pool.map(work, zip(goals, slugs)))
-    else:
-        per_goal = [work(pair) for pair in zip(goals, slugs)]
-    return [row for rows in per_goal for row in rows]
+def _render_columns(headers: tuple[str, ...], cells: list[tuple[str, ...]]) -> str:
+    """Left-aligned columns, two spaces apart, no trailing blanks."""
+    widths = [max(len(v) for v in column) for column in zip(headers, *cells)]
+    lines = [headers, *cells]
+    return "\n".join(
+        "  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip() for line in lines
+    )
 
 
 def format_table(rows: list[ReportRow]) -> str:
@@ -186,14 +144,7 @@ def format_table(rows: list[ReportRow]) -> str:
         )
         for row in rows
     ]
-    widths = [
-        max(len(headers[i]), *(len(c[i]) for c in cells)) if cells else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for c in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip())
-    return "\n".join(lines)
+    return _render_columns(headers, cells)
 
 
 def format_pivot(rows: list[ReportRow]) -> str:
@@ -206,19 +157,12 @@ def format_pivot(rows: list[ReportRow]) -> str:
         value = "-" if row.functional_unit_count is None else str(row.functional_unit_count)
         counts[(row.goal_label, row.algorithm)] = value
 
-    headers = ("goal",) + ALGORITHMS
+    headers = ("goal", *ALGORITHMS)
     cells = [
         (goal,) + tuple(counts.get((goal, algo), "-") for algo in ALGORITHMS)
         for goal in goals
     ]
-    widths = [
-        max(len(headers[i]), *(len(c[i]) for c in cells)) if cells else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for c in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip())
-    return "\n".join(lines)
+    return _render_columns(headers, cells)
 
 
 def _write_report(rows: list[ReportRow], path: str) -> None:
@@ -251,7 +195,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=1,
-        help="process up to N goals concurrently (1 = fully serial)",
+        help="accepted for compatibility and ignored: goals always run "
+        "serially, since threads gained nothing under the GIL",
     )
 
 
@@ -265,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(run)
     run.add_argument(
         "--algorithm",
-        choices=("ids", "gbfs-a", "gbfs-b", "all"),
+        choices=(*(name.replace("_", "-") for name in ALGORITHMS), "all"),
         default="all",
         help="search algorithm (default: %(default)s)",
     )
@@ -282,7 +227,7 @@ def main(argv=None) -> int:
     if args.command == "run" and args.algorithm != "all":
         algorithms = (args.algorithm.replace("-", "_"),)
     else:
-        algorithms = ALGORITHMS
+        algorithms = tuple(ALGORITHMS)
 
     try:
         rows = _run_goals(args, algorithms)

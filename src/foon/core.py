@@ -9,16 +9,18 @@ units that turns a kitchen (the objects assumed available) into a goal node.
 
 Object identity is canonical: labels, states and ingredients are lowercased,
 trimmed and whitespace-collapsed, and two nodes are the same node exactly
-when their normalized content is equal. Everything here is immutable after
-construction and safe to share between concurrent searches.
+when their normalized content is equal. Each node computes its key once,
+on construction, and each unit caches its input keys, output keys and
+signature on first use; there is no process-global cache. Everything here
+is immutable after construction and safe to share between searches.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 NodeKey = str
 
@@ -48,7 +50,7 @@ def normalize(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateDescriptor:
     """One state of an object, e.g. ``empty`` or ``in [bowl]``.
 
@@ -74,13 +76,21 @@ def _state_sort_key(state: StateDescriptor) -> tuple[str, str]:
     return (state.label, state.relative_container or "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectNode:
-    """An object with a set of states and a set of contained ingredients."""
+    """An object with a set of states and a set of contained ingredients.
+
+    ``key`` is the node's canonical identity, computed once on
+    construction: a deterministic serialization of (label, sorted states,
+    sorted ingredients). Two nodes get equal keys exactly when their
+    normalized content is equal, regardless of state/ingredient order,
+    letter case or surrounding whitespace in the original text.
+    """
 
     label: str
     states: frozenset[StateDescriptor] = frozenset()
     ingredients: frozenset[str] = frozenset()
+    key: NodeKey = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         label = normalize(self.label)
@@ -89,24 +99,20 @@ class ObjectNode:
         ingredients = frozenset(
             filter(None, (normalize(i) for i in self.ingredients))
         )
+        states = frozenset(self.states)
+        key = json.dumps(
+            [label, sorted(map(_state_sort_key, states)), sorted(ingredients)],
+            separators=(",", ":"),
+        )
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "states", frozenset(self.states))
+        object.__setattr__(self, "states", states)
         object.__setattr__(self, "ingredients", ingredients)
+        object.__setattr__(self, "key", key)
 
 
-@functools.cache
 def node_key(node: ObjectNode) -> NodeKey:
-    """Canonical identity of an object node.
-
-    Deterministic serialization of (label, sorted states, sorted
-    ingredients); two nodes get equal keys exactly when their normalized
-    content is equal, regardless of state/ingredient order, letter case or
-    surrounding whitespace in the original text.
-    """
-    states = sorted(_state_sort_key(s) for s in node.states)
-    return json.dumps(
-        [node.label, states, sorted(node.ingredients)], separators=(",", ":")
-    )
+    """Canonical identity of an object node (see :attr:`ObjectNode.key`)."""
+    return node.key
 
 
 @dataclass(frozen=True)
@@ -141,28 +147,39 @@ class FunctionalUnit:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
 
+    @cached_property
+    def input_keys(self) -> tuple[NodeKey, ...]:
+        return tuple(n.key for n in self.inputs)
 
-@functools.cache
+    @cached_property
+    def output_keys(self) -> tuple[NodeKey, ...]:
+        return tuple(n.key for n in self.outputs)
+
+    @cached_property
+    def signature(self) -> tuple:
+        """Structural identity: input key multiset, motion label, output key multiset.
+
+        Deliberately ignores the motion's success rate and the unit index, so
+        re-weighted or re-numbered copies of the same step compare equal.
+        """
+        return (
+            tuple(sorted(self.input_keys)),
+            self.motion.label,
+            tuple(sorted(self.output_keys)),
+        )
+
+
 def input_keys(unit: FunctionalUnit) -> tuple[NodeKey, ...]:
-    return tuple(node_key(n) for n in unit.inputs)
+    return unit.input_keys
 
 
-@functools.cache
 def output_keys(unit: FunctionalUnit) -> tuple[NodeKey, ...]:
-    return tuple(node_key(n) for n in unit.outputs)
+    return unit.output_keys
 
 
 def unit_signature(unit: FunctionalUnit) -> tuple:
-    """Structural identity: input key multiset, motion label, output key multiset.
-
-    Deliberately ignores the motion's success rate and the unit index, so
-    re-weighted or re-numbered copies of the same step compare equal.
-    """
-    return (
-        tuple(sorted(input_keys(unit))),
-        unit.motion.label,
-        tuple(sorted(output_keys(unit))),
-    )
+    """Structural identity of a unit (see :attr:`FunctionalUnit.signature`)."""
+    return unit.signature
 
 
 @dataclass(frozen=True)
@@ -185,8 +202,8 @@ class FoonGraph:
         """All distinct object-node keys appearing in the graph."""
         keys: set[NodeKey] = set()
         for unit in self.units:
-            keys.update(input_keys(unit))
-            keys.update(output_keys(unit))
+            keys.update(unit.input_keys)
+            keys.update(unit.output_keys)
         return frozenset(keys)
 
     def __len__(self) -> int:
@@ -208,15 +225,14 @@ def build_graph(units: list[FunctionalUnit] | tuple[FunctionalUnit, ...]) -> Foo
             raise InvalidUnitError("no input nodes", source_index)
         if not unit.outputs:
             raise InvalidUnitError("no output nodes", source_index)
-        sig = unit_signature(unit)
-        if sig in seen:
+        if unit.signature in seen:
             continue
-        seen.add(sig)
+        seen.add(unit.signature)
         kept.append(replace(unit, unit_index=len(kept)))
 
     producers: dict[NodeKey, list[int]] = {}
     for unit in kept:
-        for key in set(output_keys(unit)):
+        for key in set(unit.output_keys):
             producers.setdefault(key, []).append(unit.unit_index)
     index = {key: tuple(sorted(ids)) for key, ids in producers.items()}
     return FoonGraph(units=tuple(kept), producers=index)
@@ -238,9 +254,8 @@ class Kitchen:
         kept: list[ObjectNode] = []
         keys: set[NodeKey] = set()
         for node in nodes:
-            key = node_key(node)
-            if key not in keys:
-                keys.add(key)
+            if node.key not in keys:
+                keys.add(node.key)
                 kept.append(node)
         return cls(nodes=tuple(kept), keys=frozenset(keys))
 
@@ -278,7 +293,7 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_tree(graph: FoonGraph, kitchen: Kitchen, tree: TaskTree) -> ValidationReport:
+def validate_tree(kitchen: Kitchen, tree: TaskTree) -> ValidationReport:
     """Check that a task tree is executable against a kitchen.
 
     Violations (returned as data, never raised):
@@ -288,7 +303,6 @@ def validate_tree(graph: FoonGraph, kitchen: Kitchen, tree: TaskTree) -> Validat
       * two steps are structurally identical,
       * the tree is empty although the goal is not already in the kitchen.
     """
-    del graph  # feasibility depends only on kitchen and step order
     violations: list[str] = []
     if not tree.steps:
         if tree.goal not in kitchen:
@@ -298,19 +312,18 @@ def validate_tree(graph: FoonGraph, kitchen: Kitchen, tree: TaskTree) -> Validat
     available: set[NodeKey] = set(kitchen.keys)
     seen_signatures: dict[tuple, int] = {}
     for i, unit in enumerate(tree.steps):
-        for key in input_keys(unit):
+        for key in unit.input_keys:
             if key not in available:
                 violations.append(f"step {i}: input {key} unavailable")
-        sig = unit_signature(unit)
-        if sig in seen_signatures:
+        if unit.signature in seen_signatures:
             violations.append(
-                f"step {i}: duplicate of step {seen_signatures[sig]}"
+                f"step {i}: duplicate of step {seen_signatures[unit.signature]}"
             )
         else:
-            seen_signatures[sig] = i
-        available.update(output_keys(unit))
+            seen_signatures[unit.signature] = i
+        available.update(unit.output_keys)
 
-    if tree.goal not in output_keys(tree.steps[-1]):
+    if tree.goal not in tree.steps[-1].output_keys:
         violations.append("final step does not output the goal")
     return ValidationReport(tuple(violations))
 
@@ -333,7 +346,7 @@ def reachable_oracle(graph: FoonGraph, kitchen: Kitchen, goal: NodeKey) -> bool:
     waiting: dict[NodeKey, list[int]] = {}
     unmet: list[int] = []
     for pos, unit in enumerate(graph.units):
-        needs = set(input_keys(unit)) - available
+        needs = set(unit.input_keys) - available
         unmet.append(len(needs))
         for key in needs:
             waiting.setdefault(key, []).append(pos)
@@ -345,7 +358,7 @@ def reachable_oracle(graph: FoonGraph, kitchen: Kitchen, goal: NodeKey) -> bool:
         if idx in fired:
             continue
         fired.add(idx)
-        for key in output_keys(graph.units[idx]):
+        for key in graph.units[idx].output_keys:
             if key in available:
                 continue
             available.add(key)

@@ -47,7 +47,6 @@ from .core import (
     StateDescriptor,
     TaskTree,
     _state_sort_key,
-    node_key,
     normalize,
 )
 
@@ -105,10 +104,15 @@ def parse_state_payload(payload: str) -> tuple[StateDescriptor, frozenset[str]]:
 
 
 class _BlockParser:
-    """Accumulates O/S/M lines of one block into a functional unit."""
+    """Accumulates O/S/M lines of one block into a functional unit.
 
-    def __init__(self, diagnostics: list[ParseDiagnostic]):
+    ``nodes`` is shared by all blocks of one parse, so each distinct object
+    node is built (and keyed) once and every later occurrence reuses it.
+    """
+
+    def __init__(self, diagnostics: list[ParseDiagnostic], nodes: dict):
         self.diagnostics = diagnostics
+        self.nodes = nodes
         self.inputs: list[ObjectNode] = []
         self.outputs: list[ObjectNode] = []
         self.motion: str | None = None
@@ -125,9 +129,10 @@ class _BlockParser:
     def _flush(self) -> None:
         if self._label is None:
             return
-        node = ObjectNode(
-            self._label, frozenset(self._states), frozenset(self._ingredients)
-        )
+        content = (self._label, frozenset(self._states), frozenset(self._ingredients))
+        node = self.nodes.get(content)
+        if node is None:
+            node = self.nodes[content] = ObjectNode(*content)
         (self.outputs if self.motion is not None else self.inputs).append(node)
         self._label = None
         self._states = set()
@@ -194,6 +199,7 @@ def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnost
     """
     diagnostics: list[ParseDiagnostic] = []
     units: list[FunctionalUnit] = []
+    nodes: dict[tuple, ObjectNode] = {}  # (label, states, ingredients) -> node
 
     block: _BlockParser | None = None
     block_start = 0
@@ -215,7 +221,7 @@ def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnost
             previous_delimiter = line_number
             continue
         if block is None:
-            block = _BlockParser(diagnostics)
+            block = _BlockParser(diagnostics, nodes)
             block_start = line_number
         parts = stripped.split(None, 1)
         block.feed(line_number, parts[0], parts[1] if len(parts) > 1 else "")
@@ -270,9 +276,7 @@ def _parse_node_records(text: str, what: str) -> list[ObjectNode]:
             if not isinstance(ing, str):
                 raise SchemaError(f'{where}: "ingredients" must be a list of strings')
             ingredients.add(ing)
-        nodes.append(
-            ObjectNode(label, frozenset(states), frozenset(filter(None, map(normalize, ingredients))))
-        )
+        nodes.append(ObjectNode(label, frozenset(states), frozenset(ingredients)))
     return nodes
 
 
@@ -286,34 +290,26 @@ def parse_goals(text: str) -> list[ObjectNode]:
     nodes = _parse_node_records(text, "goals")
     seen: set[str] = set()
     for node in nodes:
-        key = node_key(node)
-        if key in seen:
+        if node.key in seen:
             warnings.warn(f"duplicate goal {node.label!r}", FoonWarning, stacklevel=2)
-        seen.add(key)
+        seen.add(node.key)
     return nodes
-
-
-class _JsonObject(dict):
-    """Marker for JSON objects parsed with duplicate-key detection."""
 
 
 def parse_motion_rates(text: str) -> dict[str, float]:
     """Read a motion success-rate document into a normalized-label map."""
-
-    def hook(pairs):
-        obj = _JsonObject()
-        obj["pairs"] = pairs
-        return obj
-
+    # Every JSON object arrives as a tuple of (key, value) pairs, so
+    # duplicate labels stay visible and a nested object fails the number
+    # check below.
     try:
-        data = json.loads(text, object_pairs_hook=hook)
+        data = json.loads(text, object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"motion rates: not valid JSON: {exc}") from exc
-    if not isinstance(data, _JsonObject):
+    if not isinstance(data, tuple):
         raise SchemaError("motion rates: expected an object mapping motion to rate")
 
     rates: dict[str, float] = {}
-    for raw_label, value in data["pairs"]:
+    for raw_label, value in data:
         label = normalize(raw_label)
         if not label:
             raise SchemaError("motion rates: empty motion label")
@@ -419,7 +415,7 @@ def export_dot(source: FoonGraph | TaskTree) -> str:
     declared: set[str] = set()
 
     def declare(node: ObjectNode) -> str:
-        key = node_key(node)
+        key = node.key
         ident = "o" + hashlib.sha1(key.encode("utf-8")).hexdigest()[:12]
         if key not in declared:
             declared.add(key)

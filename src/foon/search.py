@@ -15,28 +15,28 @@ Heuristics: ``success_rate`` prefers the unit whose motion has the highest
 success rate, ``input_count`` the unit with the fewest inputs; ties go to
 the lowest unit index.
 
-Units are discovered goal-first; finalization reverses that discovery
-order, drops duplicates, and settles the steps into an executable order
-(a no-op for chain- and tree-shaped recipes).
+Units are discovered goal-first. Both searches end in one pass,
+:func:`finalize_tree`: reverse the discovery list, drop duplicates, order
+the steps by a stable topological sort (a no-op for chain- and tree-shaped
+recipes), trim after the last goal producer, and validate once.
+:data:`ALGORITHMS` maps each algorithm name to its search call.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from collections import deque
 from dataclasses import dataclass
 
 from .core import (
+    FoonError,
     FoonGraph,
     FunctionalUnit,
     Kitchen,
     NodeKey,
     ObjectNode,
     TaskTree,
-    input_keys,
-    node_key,
-    output_keys,
-    unit_signature,
     validate_tree,
 )
 
@@ -111,61 +111,62 @@ def heuristic_select(candidates, mode: str) -> FunctionalUnit:
     raise ValueError(f"unknown heuristic {mode!r}")
 
 
-def finalize_tree(discovery, goal: NodeKey) -> TaskTree:
-    """Turn a goal-first discovery list into a task tree.
+def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None:
+    """Turn a goal-first discovery list into a validated task tree.
 
-    Reverses the discovery order and removes structural duplicates,
-    keeping the earliest execution-order occurrence.
+    Reverses the discovery order, keeps the first occurrence of each
+    structurally identical unit, then repeatedly takes the earliest step
+    whose inputs are all available (a stable Kahn pass: availability only
+    grows, so a ready step stays ready). Steps after the last one that
+    outputs the goal are dropped. Returns None when the steps cannot all
+    run in any order (a circular dependency); raises RuntimeError if the
+    ordered tree still fails :func:`validate_tree`.
     """
     steps: list[FunctionalUnit] = []
     seen: set[tuple] = set()
     for unit in reversed(list(discovery)):
-        sig = unit_signature(unit)
-        if sig not in seen:
-            seen.add(sig)
+        if unit.signature not in seen:
+            seen.add(unit.signature)
             steps.append(unit)
-    return TaskTree(steps=tuple(steps), goal=goal)
 
-
-def _execution_order(steps, kitchen: Kitchen) -> list[FunctionalUnit] | None:
-    """Stable executable ordering of steps, or None if none exists.
-
-    Repeatedly takes the first not-yet-taken step whose inputs are all
-    available. An already-executable order passes through unchanged; an
-    order broken only by shared intermediates is repaired; a set of steps
-    with a circular dependency yields None.
-    """
-    remaining = list(steps)
     available = set(kitchen.keys)
+    unmet: list[int] = []
+    waiting: dict[NodeKey, list[int]] = {}
+    ready: list[int] = []
+    for pos, unit in enumerate(steps):
+        needs = set(unit.input_keys) - available
+        unmet.append(len(needs))
+        for key in needs:
+            waiting.setdefault(key, []).append(pos)
+        if not needs:
+            ready.append(pos)
+
     ordered: list[FunctionalUnit] = []
-    while remaining:
-        pick = None
-        for unit in remaining:
-            if all(key in available for key in input_keys(unit)):
-                pick = unit
-                break
-        if pick is None:
-            return None
-        remaining.remove(pick)
-        ordered.append(pick)
-        available.update(output_keys(pick))
-    return ordered
-
-
-def _executable_tree(candidate: TaskTree, kitchen: Kitchen) -> TaskTree | None:
-    """Settle a finalized tree into executable order and trim past the goal."""
-    if not candidate.steps:
-        return candidate if candidate.goal in kitchen else None
-    ordered = _execution_order(candidate.steps, kitchen)
-    if ordered is None:
+    last_producer = -1
+    while ready:
+        unit = steps[heapq.heappop(ready)]
+        if goal in unit.output_keys:
+            last_producer = len(ordered)
+        ordered.append(unit)
+        for key in unit.output_keys:
+            if key in available:
+                continue
+            available.add(key)
+            for waiter in waiting.get(key, ()):
+                unmet[waiter] -= 1
+                if unmet[waiter] == 0:
+                    heapq.heappush(ready, waiter)
+    if len(ordered) < len(steps):
         return None
-    last_producer = None
-    for i, unit in enumerate(ordered):
-        if candidate.goal in output_keys(unit):
-            last_producer = i
-    if last_producer is None:
-        return None
-    return TaskTree(steps=tuple(ordered[: last_producer + 1]), goal=candidate.goal)
+
+    tree = TaskTree(steps=tuple(ordered[: last_producer + 1]), goal=goal)
+    report = validate_tree(kitchen, tree)
+    if not report.ok:
+        raise RuntimeError(
+            f"internal error: invalid task tree for {goal}: "
+            + "; ".join(report.violations)
+        )
+    return tree
 
 
 def depth_limited_search(
@@ -215,8 +216,8 @@ def depth_limited_search(
                 discovery_mark = len(discovery)
                 trail_mark = len(trail)
                 discovery.append(unit)
-                if all(resolve(k, depth - 1) for k in input_keys(unit)):
-                    for out in output_keys(unit):
+                if all(resolve(k, depth - 1) for k in unit.input_keys):
+                    for out in unit.output_keys:
                         if out not in resolved:
                             resolved.add(out)
                             trail.append(out)
@@ -245,11 +246,13 @@ def ids_search(
     ``config.max_depth``. Stops early with ``unsolvable`` when a pass fails
     without ever hitting the depth limit (no larger bound can differ);
     reports ``depth_exhausted`` when every bound up to the maximum was
-    tried. On success the returned tree validates against the same graph
-    and kitchen.
+    tried. On success the returned tree validates against the same kitchen.
+
+    The resolver is recursive, so a bound deep enough to exhaust Python's
+    recursion limit raises :class:`FoonError` naming that bound.
     """
     config = config or SearchConfig()
-    goal_key = node_key(goal)
+    goal_key = goal.key
     start = time.perf_counter()
 
     tree: TaskTree | None = None
@@ -258,16 +261,20 @@ def ids_search(
     final_bound = config.max_depth
     total_calls = 0
     for bound in range(config.max_depth + 1):
-        found, cutoff, discovery, calls = depth_limited_search(
-            graph, kitchen, goal_key, bound
-        )
+        try:
+            found, cutoff, discovery, calls = depth_limited_search(
+                graph, kitchen, goal_key, bound
+            )
+        except RecursionError:
+            raise FoonError(
+                f"iterative deepening ran out of recursion depth at bound {bound} "
+                f"(max_depth {config.max_depth}); use a smaller max_depth"
+            ) from None
         total_calls += calls
         if found:
-            tree = _executable_tree(finalize_tree(discovery, goal_key), kitchen)
-            if tree is None or not validate_tree(graph, kitchen, tree).ok:
-                raise RuntimeError(
-                    "internal error: accepted units do not form a valid tree"
-                )
+            tree = finalize_tree(discovery, goal_key, kitchen)
+            if tree is None:
+                raise RuntimeError("internal error: accepted units form a cycle")
             status = SOLVED
             final_bound = bound
             break
@@ -306,7 +313,7 @@ def gbfs_search(
     fails the search even if another choice would have succeeded.
     """
     config = config or SearchConfig()
-    goal_key = node_key(goal)
+    goal_key = goal.key
     start = time.perf_counter()
 
     frontier: deque[NodeKey] = deque([goal_key])
@@ -326,7 +333,7 @@ def gbfs_search(
             break
         unit = heuristic_select(candidates, config.heuristic)
         discovery.append(unit)
-        frontier.extend(input_keys(unit))
+        frontier.extend(unit.input_keys)
 
     tree: TaskTree | None = None
     status = UNSOLVABLE
@@ -334,11 +341,10 @@ def gbfs_search(
     if missing is not None:
         reason = f"item cannot be produced and is not in the kitchen: {missing}"
     else:
-        tree = _executable_tree(finalize_tree(discovery, goal_key), kitchen)
-        if tree is not None and validate_tree(graph, kitchen, tree).ok:
+        tree = finalize_tree(discovery, goal_key, kitchen)
+        if tree is not None:
             status = SOLVED
         else:
-            tree = None
             reason = "selected units contain a circular dependency"
 
     elapsed = time.perf_counter() - start
@@ -351,3 +357,23 @@ def gbfs_search(
     return SearchOutcome(
         tree=tree, status=status, stats=stats, missing_key=missing, reason=reason
     )
+
+
+# Algorithm name -> (search function, greedy heuristic; IDS ignores it).
+ALGORITHMS = {
+    "ids": (ids_search, SUCCESS_RATE),
+    "gbfs_a": (gbfs_search, SUCCESS_RATE),
+    "gbfs_b": (gbfs_search, INPUT_COUNT),
+}
+
+
+def run_algorithm(
+    name: str,
+    graph: FoonGraph,
+    kitchen: Kitchen,
+    goal: ObjectNode,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> SearchOutcome:
+    """Retrieve a task tree with the algorithm named in :data:`ALGORITHMS`."""
+    search, heuristic = ALGORITHMS[name]
+    return search(graph, kitchen, goal, SearchConfig(max_depth, heuristic))

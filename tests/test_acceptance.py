@@ -88,7 +88,7 @@ def test_c2_ids_matches_reachability_oracle(corpus):
             outcome = ids_search(instance.graph, instance.kitchen, instance.goal, config)
             assert outcome.solved == expected
             if outcome.solved:
-                report = validate_tree(instance.graph, instance.kitchen, outcome.tree)
+                report = validate_tree(instance.kitchen, outcome.tree)
                 assert report.ok, report.violations
         assert time.perf_counter() - start < 60.0
 
@@ -105,9 +105,7 @@ def test_c3_gbfs_soundness(corpus):
                     SearchConfig(heuristic=heuristic),
                 )
                 if outcome.solved:
-                    report = validate_tree(
-                        instance.graph, instance.kitchen, outcome.tree
-                    )
+                    report = validate_tree(instance.kitchen, outcome.tree)
                     assert report.ok, report.violations
                     assert reachable_oracle(instance.graph, instance.kitchen, goal_key)
 

@@ -14,6 +14,28 @@ from foon.cli import main
 from tests.conftest import DEMO_FOON, DEMO_KITCHEN, write_demo_dataset
 
 
+# Both start from the demo kitchen's pitcher.
+DOTTED_FOON = """\
+//
+O pitcher
+S contains {water}
+M measure
+O 1.5 cup
+S full
+//
+"""
+DOTTED_GOALS = '[{"label": "1.5 cup", "states": ["full"]}]'
+CHAIN_GOALS = '[{"label": "item 400", "states": ["raw"]}]'
+
+
+def _chain_foon(length):
+    """A chain of ``length`` units: pitcher -> item 1 -> ... -> item ``length``."""
+    lines = ["//", "O pitcher", "S contains {water}", "M pour", "O item 1", "S raw", "//"]
+    for i in range(1, length):
+        lines += [f"O item {i}", "S raw", "M cook", f"O item {i + 1}", "S raw", "//"]
+    return "\n".join(lines) + "\n"
+
+
 def run_cli(paths, out_dir, *extra):
     return main(
         [
@@ -53,7 +75,7 @@ class TestRun:
             tree = TaskTree(
                 steps=rebuilt.units, goal=node_key(rebuilt.units[-1].outputs[0])
             )
-            assert validate_tree(graph, kitchen, tree).ok
+            assert validate_tree(kitchen, tree).ok
             assert (out_dir / f"drinking_glass_{algorithm}.dot").exists()
 
         table = capsys.readouterr().out
@@ -135,6 +157,26 @@ class TestRun:
         assert code == 0
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["ice_2_ids.txt", "ice_ids.txt"]
+
+    def test_dotted_goal_label_writes_one_file_per_algorithm(self, tmp_path):
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=DOTTED_GOALS)
+        paths["foon"].write_text(DOTTED_FOON)
+        out_dir = tmp_path / "out"
+        assert run_cli(paths, out_dir, "--emit-dot") == 0
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == sorted(
+            f"1.5_cup_{algorithm}.{ext}"
+            for algorithm in ("ids", "gbfs_a", "gbfs_b")
+            for ext in ("txt", "dot")
+        )
+
+    def test_recursion_limit_depth_exits_one_without_traceback(self, tmp_path, capsys):
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=CHAIN_GOALS)
+        paths["foon"].write_text(_chain_foon(400))
+        assert run_cli(paths, tmp_path / "out", "--max-depth", "405") == 1
+        err = capsys.readouterr().err
+        assert "recursion depth at bound" in err and "max_depth 405" in err
+        assert "Traceback" not in err
 
     def test_malformed_foon_exits_one(self, demo_dataset, tmp_path, capsys):
         demo_dataset["foon"].write_text("//\nO cup\nS empty\n//\n")

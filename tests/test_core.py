@@ -9,7 +9,10 @@ from foon import (
     StateDescriptor,
     TaskTree,
     build_graph,
+    input_keys,
     node_key,
+    output_keys,
+    parse_foon_text,
     reachable_oracle,
     unit_signature,
     validate_tree,
@@ -37,6 +40,20 @@ class TestNodeKey:
     def test_structurally_different_content_gets_different_keys(self):
         assert node_key(obj("a", ["b"])) != node_key(obj("a b"))
         assert node_key(obj("a", [], ["b"])) != node_key(obj("a", ["b"]))
+
+    def test_parse_builds_each_distinct_node_once(self):
+        units, diagnostics = parse_foon_text(
+            "//\nO cup\nS empty\nM rinse\nO cup\nS clean\n"
+            "//\nO Cup\nS  EMPTY\nM dry\nO towel\nS wet\n//\n"
+        )
+        assert not diagnostics
+        assert units[0].inputs[0] is units[1].inputs[0]
+
+    def test_identity_has_no_process_global_cache(self):
+        for accessor in (node_key, input_keys, output_keys, unit_signature):
+            assert not hasattr(accessor, "cache_info")
+        node = obj("cup", ["empty"])
+        assert node_key(node) is node.key
 
     def test_empty_label_rejected(self):
         with pytest.raises(InvalidNodeError):
@@ -127,34 +144,33 @@ class TestReachableOracle:
 
 class TestValidateTree:
     def test_empty_tree_ok_iff_goal_in_kitchen(self):
-        graph = build_graph([])
         a = obj("a")
         tree = TaskTree(steps=(), goal=node_key(a))
-        assert validate_tree(graph, Kitchen.from_nodes([a]), tree).ok
-        assert not validate_tree(graph, Kitchen.from_nodes([]), tree).ok
+        assert validate_tree(Kitchen.from_nodes([a]), tree).ok
+        assert not validate_tree(Kitchen.from_nodes([]), tree).ok
 
     def test_chain_in_order_is_ok(self, chain):
         graph, kitchen, goal = chain
         tree = TaskTree(steps=graph.units, goal=node_key(goal))
-        assert validate_tree(graph, kitchen, tree).ok
+        assert validate_tree(kitchen, tree).ok
 
     def test_reversed_chain_reports_unavailable_input(self, chain):
         graph, kitchen, goal = chain
         tree = TaskTree(steps=tuple(reversed(graph.units)), goal=node_key(goal))
-        report = validate_tree(graph, kitchen, tree)
+        report = validate_tree(kitchen, tree)
         assert any("step 0" in v and "unavailable" in v for v in report.violations)
 
     def test_wrong_final_step_reported(self, chain):
         graph, kitchen, goal = chain
         tree = TaskTree(steps=graph.units[:1], goal=node_key(goal))
-        report = validate_tree(graph, kitchen, tree)
+        report = validate_tree(kitchen, tree)
         assert "final step does not output the goal" in report.violations
 
     def test_duplicate_steps_reported(self, chain):
         graph, kitchen, goal = chain
         u1, u2 = graph.units
         tree = TaskTree(steps=(u1, u1, u2), goal=node_key(goal))
-        report = validate_tree(graph, kitchen, tree)
+        report = validate_tree(kitchen, tree)
         assert any("duplicate" in v for v in report.violations)
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from foon import (
@@ -15,10 +17,13 @@ from foon import (
     heuristic_select,
     ids_search,
     node_key,
+    output_keys,
     unit_signature,
     validate_tree,
 )
 from tests.conftest import obj, unit
+from tests.finalize_reference import reference_finalize
+from tests.randgen import random_instance
 
 
 def signatures(tree):
@@ -55,18 +60,73 @@ class TestFinalizeTree:
     def test_reverses_discovery_order(self):
         u1 = unit([obj("a")], "m1", [obj("b")], index=0)
         u2 = unit([obj("b")], "m2", [obj("g")], index=1)
-        tree = finalize_tree([u2, u1], node_key(obj("g")))
+        tree = finalize_tree([u2, u1], node_key(obj("g")), Kitchen.from_nodes([obj("a")]))
         assert list(tree.steps) == [u1, u2]
 
     def test_deduplicates_keeping_earliest_execution_occurrence(self):
+        # u1 and u2 are both ready at once, so their order shows which
+        # occurrence of the duplicated u2 was kept.
         u1 = unit([obj("a")], "m1", [obj("b")], index=0)
-        u2 = unit([obj("b")], "m2", [obj("g")], index=1)
-        tree = finalize_tree([u2, u1, u2], node_key(obj("g")))
-        assert list(tree.steps) == [u2, u1]
+        u2 = unit([obj("a")], "m2", [obj("c")], index=1)
+        u3 = unit([obj("b"), obj("c")], "m3", [obj("g")], index=2)
+        u2_copy = unit([obj("a")], "m2", [obj("c")], index=7, rate=0.5)
+        kitchen = Kitchen.from_nodes([obj("a")])
+        tree = finalize_tree([u3, u2, u1, u2_copy], node_key(obj("g")), kitchen)
+        assert list(tree.steps) == [u2_copy, u1, u3]
 
     def test_empty_discovery(self):
-        tree = finalize_tree([], node_key(obj("g")))
+        goal = obj("g")
+        tree = finalize_tree([], node_key(goal), Kitchen.from_nodes([goal]))
         assert tree.steps == ()
+        with pytest.raises(RuntimeError, match="empty tree"):
+            finalize_tree([], node_key(goal), Kitchen.from_nodes([]))
+
+    def test_trims_after_last_goal_producer(self):
+        u1 = unit([obj("a")], "m1", [obj("g")], index=0)
+        u2 = unit([obj("g")], "m2", [obj("h")], index=1)
+        tree = finalize_tree([u1, u2], node_key(obj("g")), Kitchen.from_nodes([obj("a")]))
+        assert list(tree.steps) == [u1]
+
+    def test_matches_the_three_pass_reference(self):
+        """Differential check on the randgen corpus.
+
+        Discovery lists are IDS's own, shuffled copies of them with
+        duplicates, and random unit samples of (often cyclic) graphs; the
+        goal is always output by the list's first unit, as in both searches.
+        """
+        solved = none = 0
+        for seed in range(500):
+            rng = random.Random(seed)
+            instance = random_instance(seed, acyclic=(seed % 3 == 0))
+            graph, kitchen = instance.graph, instance.kitchen
+            goal = node_key(instance.goal)
+            lists = []
+            for bound in range(len(graph) + 2):
+                found, _, discovery, _ = depth_limited_search(graph, kitchen, goal, bound)
+                if found:
+                    lists.append((discovery, goal))
+                    shuffled = discovery + rng.choices(discovery, k=len(discovery))
+                    rng.shuffle(shuffled)
+                    if shuffled:
+                        lists.append((shuffled, rng.choice(output_keys(shuffled[0]))))
+                    break
+            for _ in range(3):
+                if not graph.units:
+                    break
+                sample = rng.choices(graph.units, k=rng.randint(1, 8))
+                lists.append((sample, rng.choice(output_keys(sample[0]))))
+
+            for discovery, target in lists:
+                expected = reference_finalize(discovery, target, kitchen)
+                actual = finalize_tree(discovery, target, kitchen)
+                if expected is None:
+                    assert actual is None, (seed, discovery)
+                    none += 1
+                else:
+                    assert actual is not None, (seed, discovery)
+                    assert actual.steps == expected.steps, (seed, discovery)
+                    solved += 1
+        assert solved > 500 and none > 500
 
 
 class TestIdsSearch:
@@ -94,7 +154,7 @@ class TestIdsSearch:
         assert outcome.status == SOLVED
         assert [u.motion.label for u in outcome.tree.steps] == ["step one", "step two"]
         assert outcome.stats.final_depth_bound == 3
-        assert validate_tree(graph, kitchen, outcome.tree).ok
+        assert validate_tree(kitchen, outcome.tree).ok
 
     def test_sample_unit_solved_at_bound_two(self, sample_unit, sample_graph, sample_kitchen):
         outcome = ids_search(sample_graph, sample_kitchen, sample_unit.outputs[0])
@@ -133,7 +193,7 @@ class TestIdsSearch:
         kitchen = Kitchen.from_nodes([a])
         outcome = ids_search(graph, kitchen, g)
         assert outcome.status == SOLVED
-        assert validate_tree(graph, kitchen, outcome.tree).ok
+        assert validate_tree(kitchen, outcome.tree).ok
         assert [u.motion.label for u in outcome.tree.steps] == [
             "make x",
             "make y",
@@ -221,7 +281,7 @@ class TestGbfsSearch:
         for heuristic in (SUCCESS_RATE, INPUT_COUNT):
             outcome = gbfs_search(graph, kitchen, g, SearchConfig(heuristic=heuristic))
             assert outcome.status == SOLVED
-            assert validate_tree(graph, kitchen, outcome.tree).ok
+            assert validate_tree(kitchen, outcome.tree).ok
 
     def test_deterministic(self, chain):
         graph, kitchen, goal = chain
