@@ -54,13 +54,18 @@ def slugify(label: str) -> str:
 
 
 def _assign_slugs(goals: list[ObjectNode]) -> list[str]:
+    # A repeated slug gets _2, _3, ..., bumped past every slug already given
+    # out, so it cannot take the stem of a label that itself ends in "_2".
     slugs: list[str] = []
-    used: dict[str, int] = {}
+    taken: set[str] = set()
     for goal in goals:
-        base = slugify(goal.label)
-        count = used.get(base, 0) + 1
-        used[base] = count
-        slugs.append(base if count == 1 else f"{base}_{count}")
+        base = slug = slugify(goal.label)
+        count = 1
+        while slug in taken:
+            count += 1
+            slug = f"{base}_{count}"
+        taken.add(slug)
+        slugs.append(slug)
     return slugs
 
 
@@ -224,6 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.max_depth < 1:
+        print("error: --max-depth must be at least 1", file=sys.stderr)
+        return 1
     if args.command == "run" and args.algorithm != "all":
         algorithms = (args.algorithm.replace("-", "_"),)
     else:

@@ -9,10 +9,10 @@ units that turns a kitchen (the objects assumed available) into a goal node.
 
 Object identity is canonical: labels, states and ingredients are lowercased,
 trimmed and whitespace-collapsed, and two nodes are the same node exactly
-when their normalized content is equal. Each node computes its key once,
-on construction, and each unit caches its input keys, output keys and
-signature on first use; there is no process-global cache. Everything here
-is immutable after construction and safe to share between searches.
+when their normalized content is equal. Each node computes its key, and
+each unit its input keys, output keys and signature, once on construction;
+there is no process-global cache. Everything here is immutable after
+construction and safe to share between searches.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 NodeKey = str
 
@@ -134,69 +133,54 @@ class MotionNode:
         object.__setattr__(self, "success_rate", float(self.success_rate))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionalUnit:
-    """One recipe step: input objects, a single motion, output objects."""
+    """One recipe step: input objects, a single motion, output objects.
+
+    ``input_keys`` and ``output_keys`` are the node keys of ``inputs`` and
+    ``outputs``, and ``signature`` is the unit's structural identity: input
+    key multiset, motion label, output key multiset. All three are computed
+    once on construction. The signature deliberately ignores the motion's
+    success rate and the unit index, so re-weighted or re-numbered copies of
+    the same step compare equal.
+    """
 
     inputs: tuple[ObjectNode, ...]
     motion: MotionNode
     outputs: tuple[ObjectNode, ...]
     unit_index: int = 0
+    input_keys: tuple[NodeKey, ...] = field(init=False, compare=False, repr=False)
+    output_keys: tuple[NodeKey, ...] = field(init=False, compare=False, repr=False)
+    signature: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
-
-    @cached_property
-    def input_keys(self) -> tuple[NodeKey, ...]:
-        return tuple(n.key for n in self.inputs)
-
-    @cached_property
-    def output_keys(self) -> tuple[NodeKey, ...]:
-        return tuple(n.key for n in self.outputs)
-
-    @cached_property
-    def signature(self) -> tuple:
-        """Structural identity: input key multiset, motion label, output key multiset.
-
-        Deliberately ignores the motion's success rate and the unit index, so
-        re-weighted or re-numbered copies of the same step compare equal.
-        """
-        return (
-            tuple(sorted(self.input_keys)),
-            self.motion.label,
-            tuple(sorted(self.output_keys)),
+        input_keys = tuple(n.key for n in self.inputs)
+        output_keys = tuple(n.key for n in self.outputs)
+        signature = (
+            tuple(sorted(input_keys)), self.motion.label, tuple(sorted(output_keys))
         )
-
-
-def input_keys(unit: FunctionalUnit) -> tuple[NodeKey, ...]:
-    return unit.input_keys
-
-
-def output_keys(unit: FunctionalUnit) -> tuple[NodeKey, ...]:
-    return unit.output_keys
-
-
-def unit_signature(unit: FunctionalUnit) -> tuple:
-    """Structural identity of a unit (see :attr:`FunctionalUnit.signature`)."""
-    return unit.signature
+        object.__setattr__(self, "input_keys", input_keys)
+        object.__setattr__(self, "output_keys", output_keys)
+        object.__setattr__(self, "signature", signature)
 
 
 @dataclass(frozen=True)
 class FoonGraph:
     """Deduplicated unit store with a producer index.
 
-    ``producers`` maps each node key to the ascending ``unit_index`` values
-    of the units that output it. Instances are immutable; build them with
+    ``producers`` maps each node key to the units that output it, in
+    ascending ``unit_index`` order. Instances are immutable; build them with
     :func:`build_graph`.
     """
 
     units: tuple[FunctionalUnit, ...] = ()
-    producers: dict[NodeKey, tuple[int, ...]] = field(default_factory=dict)
+    producers: dict[NodeKey, tuple[FunctionalUnit, ...]] = field(default_factory=dict)
 
     def producers_of(self, key: NodeKey) -> tuple[FunctionalUnit, ...]:
         """Units whose outputs contain ``key``, in ascending unit_index order."""
-        return tuple(self.units[i] for i in self.producers.get(key, ()))
+        return self.producers.get(key, ())
 
     def node_keys(self) -> frozenset[NodeKey]:
         """All distinct object-node keys appearing in the graph."""
@@ -220,6 +204,7 @@ def build_graph(units: list[FunctionalUnit] | tuple[FunctionalUnit, ...]) -> Foo
     """
     kept: list[FunctionalUnit] = []
     seen: set[tuple] = set()
+    producers: dict[NodeKey, list[FunctionalUnit]] = {}
     for source_index, unit in enumerate(units):
         if not unit.inputs:
             raise InvalidUnitError("no input nodes", source_index)
@@ -228,13 +213,12 @@ def build_graph(units: list[FunctionalUnit] | tuple[FunctionalUnit, ...]) -> Foo
         if unit.signature in seen:
             continue
         seen.add(unit.signature)
-        kept.append(replace(unit, unit_index=len(kept)))
-
-    producers: dict[NodeKey, list[int]] = {}
-    for unit in kept:
-        for key in set(unit.output_keys):
-            producers.setdefault(key, []).append(unit.unit_index)
-    index = {key: tuple(sorted(ids)) for key, ids in producers.items()}
+        if unit.unit_index != len(kept):
+            unit = replace(unit, unit_index=len(kept))
+        kept.append(unit)
+        for key in dict.fromkeys(unit.output_keys):
+            producers.setdefault(key, []).append(unit)
+    index = {key: tuple(found) for key, found in producers.items()}
     return FoonGraph(units=tuple(kept), producers=index)
 
 

@@ -10,7 +10,9 @@ payload:
                     spelling of "O")
     S <payload>     a state of the most recent object; a bracketed suffix
                     ``[x]`` names a relative container and every braced
-                    group ``{a,b}`` contributes ingredients
+                    group ``{a,b}`` contributes ingredients. A payload of
+                    braced groups only (``S {a,b}``) adds ingredients and
+                    no state
     M <label>       the block's single motion
 
 Blank lines are ignored, unknown tags are skipped with a warning, and all
@@ -23,8 +25,9 @@ mini-grammar as S lines. Motion success rates come from a JSON object
 mapping motion label to a number in [0, 1].
 
 Serialization is canonical: states sorted by (label, container),
-ingredients sorted lexicographically and attached to the first state line,
-LF line endings. Parsing serialized output and serializing again is
+ingredients sorted lexicographically and attached to the first state line
+(or to a state-less ``S {a,b}`` line when the object has no states), LF
+line endings. Parsing serialized output and serializing again is
 byte-identical.
 """
 
@@ -79,11 +82,13 @@ _BRACKETS = re.compile(r"\[([^\[\]]*)\]")
 _OBJECT_TAGS = ("o", "0")  # "0" appears in older hand-written files
 
 
-def parse_state_payload(payload: str) -> tuple[StateDescriptor, frozenset[str]]:
+def parse_state_payload(payload: str) -> tuple[StateDescriptor | None, frozenset[str]]:
     """Parse an S-line payload into a state plus the ingredients it carries.
 
-    Raises ValueError when the state label is empty once the braced and
-    bracketed groups are stripped.
+    A payload made only of braced groups naming at least one ingredient
+    carries no state, and the returned state is None. Otherwise raises
+    ValueError when the state label is empty once the braced and bracketed
+    groups are stripped.
     """
     ingredients: set[str] = set()
 
@@ -94,6 +99,8 @@ def parse_state_payload(payload: str) -> tuple[StateDescriptor, frozenset[str]]:
         return " "
 
     rest = _BRACES.sub(collect, payload)
+    if ingredients and not normalize(rest):
+        return None, frozenset(ingredients)
     containers = [normalize(m.group(1)) for m in _BRACKETS.finditer(rest)]
     rest = _BRACKETS.sub(" ", rest)
     label = normalize(rest)
@@ -157,7 +164,8 @@ class _BlockParser:
             except ValueError as exc:
                 self._error(line_number, str(exc))
                 return
-            self._states.add(state)
+            if state is not None:
+                self._states.add(state)
             self._ingredients.update(extra)
         elif kind == "m":
             if self.motion is not None:
@@ -270,6 +278,9 @@ def _parse_node_records(text: str, what: str) -> list[ObjectNode]:
                 state, extra = parse_state_payload(s)
             except ValueError as exc:
                 raise SchemaError(f"{where}: state {s!r}: {exc}") from exc
+            if state is None:
+                # Records list ingredients in their own field.
+                raise SchemaError(f"{where}: state {s!r}: state label is empty")
             states.add(state)
             ingredients.update(extra)
         for ing in ingredients_raw:
@@ -333,37 +344,41 @@ def apply_motion_rates(
 
     Warns once per motion label that has no entry in the rate map.
     """
+    motions = {label: MotionNode(label, rate) for label, rate in rates.items()}
     missing: set[str] = set()
     out: list[FunctionalUnit] = []
     for unit in units:
         label = unit.motion.label
-        if label in rates:
-            out.append(replace(unit, motion=MotionNode(label, rates[label])))
-        else:
-            if label not in missing:
-                missing.add(label)
-                warnings.warn(
-                    f"no success rate for motion {label!r}; defaulting to 1.0",
-                    FoonWarning,
-                    stacklevel=2,
-                )
-            out.append(unit)
+        if label in motions:
+            unit = replace(unit, motion=motions[label])
+        elif label not in missing:
+            missing.add(label)
+            warnings.warn(
+                f"no success rate for motion {label!r}; defaulting to 1.0",
+                FoonWarning,
+                stacklevel=2,
+            )
+        out.append(unit)
     return out
 
 
+def _state_text(state: StateDescriptor) -> str:
+    if state.relative_container:
+        return f"{state.label} [{state.relative_container}]"
+    return state.label
+
+
 def _render_node(node: ObjectNode) -> list[str]:
-    # Ingredients ride on the first state line in canonical order; a node
-    # with ingredients but no states cannot carry them in this format.
-    lines = [f"O {node.label}"]
-    ingredients = ",".join(sorted(node.ingredients))
-    for position, state in enumerate(sorted(node.states, key=_state_sort_key)):
-        payload = state.label
-        if state.relative_container:
-            payload += f" [{state.relative_container}]"
-        if position == 0 and ingredients:
-            payload += f" {{{ingredients}}}"
-        lines.append(f"S {payload}")
-    return lines
+    # Ingredients ride on the first state line in canonical order, or on a
+    # state-less "S {a,b}" line when the node has no states.
+    payloads = [_state_text(s) for s in sorted(node.states, key=_state_sort_key)]
+    if node.ingredients:
+        ingredients = "{" + ",".join(sorted(node.ingredients)) + "}"
+        if payloads:
+            payloads[0] += " " + ingredients
+        else:
+            payloads.append(ingredients)
+    return [f"O {node.label}", *(f"S {payload}" for payload in payloads)]
 
 
 def serialize_units(units) -> str:
@@ -393,10 +408,7 @@ def _dot_escape(text: str) -> str:
 
 
 def _object_label(node: ObjectNode) -> str:
-    states = ", ".join(
-        s.label + (f" [{s.relative_container}]" if s.relative_container else "")
-        for s in sorted(node.states, key=_state_sort_key)
-    )
+    states = ", ".join(_state_text(s) for s in sorted(node.states, key=_state_sort_key))
     ingredients = ", ".join(sorted(node.ingredients))
     parts = (node.label, states, "{" + ingredients + "}")
     # escape first, then join with the DOT newline sequence

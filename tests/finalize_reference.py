@@ -10,14 +10,13 @@ it to match the new code.
 from __future__ import annotations
 
 from foon import FunctionalUnit, Kitchen, NodeKey, TaskTree
-from foon import input_keys, output_keys, unit_signature
 
 
 def reference_finalize_tree(discovery, goal: NodeKey) -> TaskTree:
     steps: list[FunctionalUnit] = []
     seen: set[tuple] = set()
     for unit in reversed(list(discovery)):
-        sig = unit_signature(unit)
+        sig = unit.signature
         if sig not in seen:
             seen.add(sig)
             steps.append(unit)
@@ -31,14 +30,14 @@ def reference_execution_order(steps, kitchen: Kitchen) -> list[FunctionalUnit] |
     while remaining:
         pick = None
         for unit in remaining:
-            if all(key in available for key in input_keys(unit)):
+            if all(key in available for key in unit.input_keys):
                 pick = unit
                 break
         if pick is None:
             return None
         remaining.remove(pick)
         ordered.append(pick)
-        available.update(output_keys(pick))
+        available.update(pick.output_keys)
     return ordered
 
 
@@ -50,7 +49,7 @@ def reference_executable_tree(candidate: TaskTree, kitchen: Kitchen) -> TaskTree
         return None
     last_producer = None
     for i, unit in enumerate(ordered):
-        if candidate.goal in output_keys(unit):
+        if candidate.goal in unit.output_keys:
             last_producer = i
     if last_producer is None:
         return None

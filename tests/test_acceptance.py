@@ -30,7 +30,6 @@ from foon import (
     parse_foon_text,
     reachable_oracle,
     serialize_units,
-    unit_signature,
     validate_tree,
 )
 from foon.cli import main
@@ -135,7 +134,7 @@ def test_c4_single_producer_agreement():
             assert len(set(solved)) == 1, f"seed {seed}: {solved}"
             if solved[0]:
                 unit_sets = [
-                    frozenset(unit_signature(u) for u in o.tree.steps) for o in outcomes
+                    frozenset(u.signature for u in o.tree.steps) for o in outcomes
                 ]
                 assert len(set(unit_sets)) == 1, f"seed {seed}"
 

@@ -7,6 +7,7 @@ from foon import (
     build_graph,
     node_key,
     parse_foon_text,
+    parse_goals,
     parse_kitchen,
     validate_tree,
 )
@@ -26,6 +27,32 @@ S full
 """
 DOTTED_GOALS = '[{"label": "1.5 cup", "states": ["full"]}]'
 CHAIN_GOALS = '[{"label": "item 400", "states": ["raw"]}]'
+# Two goals labelled "b" and one labelled "b 2", all made from the pitcher.
+SLUG_FOON = "".join(
+    f"//\nO pitcher\nS contains {{water}}\nM pour\nO {label}\nS {state}\n"
+    for label, state in (("b", "full"), ("b", "cold"), ("b 2", "full"))
+) + "//\n"
+SLUG_GOALS = (
+    '[{"label": "b", "states": ["full"]}, {"label": "b", "states": ["cold"]},'
+    ' {"label": "b 2", "states": ["full"]}]'
+)
+# A salt shaker and a soup that carry ingredients but have no states.
+SALT_FOON = """\
+//
+O salt shaker
+S {salt}
+O pot
+S contains {water}
+M season
+O soup
+S {salt,water}
+//
+"""
+SALT_KITCHEN = (
+    '[{"label": "salt shaker", "ingredients": ["salt"]},'
+    ' {"label": "pot", "states": ["contains {water}"]}]'
+)
+SALT_GOALS = '[{"label": "soup", "ingredients": ["salt", "water"]}]'
 
 
 def _chain_foon(length):
@@ -158,6 +185,31 @@ class TestRun:
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["ice_2_ids.txt", "ice_ids.txt"]
 
+    def test_suffixed_slug_skips_a_slug_already_given_out(self, tmp_path):
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=SLUG_GOALS)
+        paths["foon"].write_text(SLUG_FOON)
+        out_dir = tmp_path / "out"
+        assert run_cli(paths, out_dir) == 0
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == sorted(
+            f"{stem}_{algorithm}.txt"
+            for stem in ("b", "b_2", "b_2_2")
+            for algorithm in ("ids", "gbfs_a", "gbfs_b")
+        )
+        assert "S cold" in (out_dir / "b_2_ids.txt").read_text()
+
+    def test_stateless_ingredients_survive_the_written_tree(self, tmp_path):
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=SALT_GOALS)
+        paths["foon"].write_text(SALT_FOON)
+        paths["kitchen"].write_text(SALT_KITCHEN)
+        out_dir = tmp_path / "out"
+        assert run_cli(paths, out_dir, "--algorithm", "ids") == 0
+        units, diagnostics = parse_foon_text((out_dir / "soup_ids.txt").read_text())
+        assert not diagnostics
+        kitchen = parse_kitchen(SALT_KITCHEN)
+        goal = parse_goals(SALT_GOALS)[0]
+        assert validate_tree(kitchen, TaskTree(steps=tuple(units), goal=goal.key)).ok
+
     def test_dotted_goal_label_writes_one_file_per_algorithm(self, tmp_path):
         paths = write_demo_dataset(tmp_path / "dataset", goals_text=DOTTED_GOALS)
         paths["foon"].write_text(DOTTED_FOON)
@@ -176,6 +228,15 @@ class TestRun:
         assert run_cli(paths, tmp_path / "out", "--max-depth", "405") == 1
         err = capsys.readouterr().err
         assert "recursion depth at bound" in err and "max_depth 405" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_depth_below_one_exits_one_without_traceback(
+        self, demo_dataset, tmp_path, capsys, depth
+    ):
+        assert run_cli(demo_dataset, tmp_path / "out", "--max-depth", depth) == 1
+        err = capsys.readouterr().err
+        assert "error: --max-depth must be at least 1" in err
         assert "Traceback" not in err
 
     def test_malformed_foon_exits_one(self, demo_dataset, tmp_path, capsys):

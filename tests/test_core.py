@@ -9,12 +9,9 @@ from foon import (
     StateDescriptor,
     TaskTree,
     build_graph,
-    input_keys,
     node_key,
-    output_keys,
     parse_foon_text,
     reachable_oracle,
-    unit_signature,
     validate_tree,
 )
 from tests.conftest import obj, unit
@@ -50,10 +47,12 @@ class TestNodeKey:
         assert units[0].inputs[0] is units[1].inputs[0]
 
     def test_identity_has_no_process_global_cache(self):
-        for accessor in (node_key, input_keys, output_keys, unit_signature):
-            assert not hasattr(accessor, "cache_info")
+        assert not hasattr(node_key, "cache_info")
         node = obj("cup", ["empty"])
         assert node_key(node) is node.key
+        step = unit([node], "rinse", [obj("cup", ["clean"])])
+        assert step.input_keys == (node.key,)
+        assert not hasattr(step, "__dict__")  # slot fields only: no lazy per-unit cache
 
     def test_empty_label_rejected(self):
         with pytest.raises(InvalidNodeError):
@@ -177,8 +176,8 @@ class TestValidateTree:
 def test_unit_signature_ignores_weight_and_index():
     base = unit([obj("a")], "mix", [obj("b")])
     other = unit([obj("a")], "mix", [obj("b")], index=4, rate=0.2)
-    assert unit_signature(base) == unit_signature(other)
-    assert unit_signature(base) != unit_signature(unit([obj("a")], "stir", [obj("b")]))
+    assert base.signature == other.signature
+    assert base.signature != unit([obj("a")], "stir", [obj("b")]).signature
 
 
 def test_kitchen_deduplicates_by_key():

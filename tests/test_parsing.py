@@ -68,9 +68,21 @@ class TestParseFoonText:
         assert any("more than one motion" in d.message for d in diagnostics)
 
     def test_empty_state_label_is_an_error(self):
-        units, diagnostics = parse_foon_text("//\nO cup\nS {milk}\nM pour\nO cup\n//\n")
-        assert units == []
-        assert any(d.line_number == 3 for d in diagnostics if d.severity == "error")
+        # "S {milk}" alone is an ingredient-only line, not an empty state.
+        for payload in ("{}", "[bowl]", "{milk} [bowl]"):
+            text = f"//\nO cup\nS {payload}\nM pour\nO cup\n//\n"
+            units, diagnostics = parse_foon_text(text)
+            assert units == []
+            assert any(d.line_number == 3 for d in diagnostics if d.severity == "error")
+
+    def test_ingredient_only_state_line_adds_ingredients_and_no_state(self):
+        units, diagnostics = parse_foon_text(
+            "//\nO salt shaker\nS {salt} {pepper}\nM shake\nO soup\nS {salt}\n//\n"
+        )
+        assert not diagnostics
+        shaker, soup = units[0].inputs[0], units[0].outputs[0]
+        assert shaker == obj("salt shaker", [], ["pepper", "salt"])
+        assert soup == obj("soup", [], ["salt"])
 
     def test_unknown_tag_is_a_warning(self):
         text = "//\nO cup\nS empty\nX whatever\nM pour\nO cup\nS full\n//\n"
@@ -215,6 +227,13 @@ class TestSerialization:
         assert "S chipped {a,b}" in text
         units, _ = parse_foon_text(text)
         assert units[0].outputs[0] == node
+
+    def test_ingredients_of_a_stateless_node_get_their_own_line(self):
+        node = obj("salt shaker", [], ["salt"])
+        text = serialize_units([unit([node], "shake", [obj("x")])])
+        assert "O salt shaker\nS {salt}\nM shake" in text
+        units, _ = parse_foon_text(text)
+        assert units[0].inputs[0].key == node.key
 
 
 class TestExportDot:

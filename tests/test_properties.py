@@ -17,7 +17,6 @@ from foon import (
     heuristic_select,
     ids_search,
     node_key,
-    output_keys,
     parse_foon_text,
     reachable_oracle,
     serialize_units,
@@ -40,17 +39,14 @@ nodes = st.builds(
     st.frozensets(states, max_size=3),
     st.frozensets(plain_text, max_size=3),
 )
-# The text format carries ingredients on state lines, so only nodes with at
-# least one state can round-trip a non-empty ingredient set.
-parser_nodes = nodes.filter(lambda n: bool(n.states) or not n.ingredients)
 motions = st.builds(
     MotionNode, plain_text, st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 )
 units = st.builds(
     FunctionalUnit,
-    st.lists(parser_nodes, min_size=1, max_size=3).map(tuple),
+    st.lists(nodes, min_size=1, max_size=3).map(tuple),
     motions,
-    st.lists(parser_nodes, min_size=1, max_size=2).map(tuple),
+    st.lists(nodes, min_size=1, max_size=2).map(tuple),
     st.integers(min_value=0, max_value=50),
 )
 unit_lists = st.lists(units, max_size=4)
@@ -88,8 +84,8 @@ def test_producer_index_is_complete_and_exact(instance):
     for key in all_keys:
         produced_by = graph.producers_of(key)
         for unit in produced_by:
-            assert key in output_keys(unit)
-        expected = [u for u in graph.units if key in output_keys(u)]
+            assert key in unit.output_keys
+        expected = [u for u in graph.units if key in u.output_keys]
         assert list(produced_by) == expected
 
 

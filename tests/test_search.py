@@ -17,8 +17,6 @@ from foon import (
     heuristic_select,
     ids_search,
     node_key,
-    output_keys,
-    unit_signature,
     validate_tree,
 )
 from tests.conftest import obj, unit
@@ -27,7 +25,7 @@ from tests.randgen import random_instance
 
 
 def signatures(tree):
-    return [unit_signature(u) for u in tree.steps]
+    return [u.signature for u in tree.steps]
 
 
 class TestHeuristicSelect:
@@ -108,13 +106,13 @@ class TestFinalizeTree:
                     shuffled = discovery + rng.choices(discovery, k=len(discovery))
                     rng.shuffle(shuffled)
                     if shuffled:
-                        lists.append((shuffled, rng.choice(output_keys(shuffled[0]))))
+                        lists.append((shuffled, rng.choice(shuffled[0].output_keys)))
                     break
             for _ in range(3):
                 if not graph.units:
                     break
                 sample = rng.choices(graph.units, k=rng.randint(1, 8))
-                lists.append((sample, rng.choice(output_keys(sample[0]))))
+                lists.append((sample, rng.choice(sample[0].output_keys)))
 
             for discovery, target in lists:
                 expected = reference_finalize(discovery, target, kitchen)
