@@ -12,7 +12,9 @@ trimmed and whitespace-collapsed, and two nodes are the same node exactly
 when their normalized content is equal. Each node computes its key, and
 each unit its input keys, output keys and signature, once on construction;
 there is no process-global cache. Everything here is immutable after
-construction and safe to share between searches.
+construction and safe to share between searches; the one thing a graph
+remembers, its live-producer index for the last kitchen, is a pure
+function of the graph and that kitchen.
 """
 
 from __future__ import annotations
@@ -171,16 +173,63 @@ class FoonGraph:
     """Deduplicated unit store with a producer index.
 
     ``producers`` maps each node key to the units that output it, in
-    ascending ``unit_index`` order. Instances are immutable; build them with
-    :func:`build_graph`.
+    ascending ``unit_index`` order. Instances are immutable apart from the
+    memo behind :meth:`live_producers`; build them with :func:`build_graph`.
     """
 
     units: tuple[FunctionalUnit, ...] = ()
     producers: dict[NodeKey, tuple[FunctionalUnit, ...]] = field(default_factory=dict)
+    # (kitchen keys, live producer index) of the last live_producers call.
+    _live_memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def producers_of(self, key: NodeKey) -> tuple[FunctionalUnit, ...]:
         """Units whose outputs contain ``key``, in ascending unit_index order."""
         return self.producers.get(key, ())
+
+    def live_producers(
+        self, kitchen: Kitchen
+    ) -> dict[NodeKey, tuple[FunctionalUnit, ...]]:
+        """The producer index restricted to units the kitchen can feed.
+
+        Maps each key to its producers, in ascending unit_index order, whose
+        inputs are all reachable from ``kitchen`` by forward chaining; a key
+        with no such producer is absent. One linear counter pass over all
+        units (Dowling & Gallier 1984) finds the reachable keys. The result
+        is memoized for the last kitchen key set, so every goal searched
+        against one kitchen shares it.
+        """
+        memo = self._live_memo
+        if memo is not None and (memo[0] is kitchen.keys or memo[0] == kitchen.keys):
+            return memo[1]
+
+        reachable: set[NodeKey] = set(kitchen.keys)
+        waiting: dict[NodeKey, list[int]] = {}
+        unmet: list[int] = []
+        ready: list[int] = []
+        for pos, unit in enumerate(self.units):
+            needs = set(unit.input_keys) - reachable
+            unmet.append(len(needs))
+            for key in needs:
+                waiting.setdefault(key, []).append(pos)
+            if not needs:
+                ready.append(pos)
+        while ready:
+            for key in self.units[ready.pop()].output_keys:
+                if key in reachable:
+                    continue
+                reachable.add(key)
+                for waiter in waiting.get(key, ()):
+                    unmet[waiter] -= 1
+                    if not unmet[waiter]:
+                        ready.append(waiter)
+
+        live: dict[NodeKey, tuple[FunctionalUnit, ...]] = {}
+        for key, units in self.producers.items():
+            fed = tuple(u for u in units if reachable.issuperset(u.input_keys))
+            if fed:
+                live[key] = fed
+        object.__setattr__(self, "_live_memo", (kitchen.keys, live))
+        return live
 
     def node_keys(self) -> frozenset[NodeKey]:
         """All distinct object-node keys appearing in the graph."""

@@ -222,13 +222,18 @@ class TestRun:
             for ext in ("txt", "dot")
         )
 
-    def test_recursion_limit_depth_exits_one_without_traceback(self, tmp_path, capsys):
+    def test_chain_deeper_than_the_recursion_limit_is_solved(self, tmp_path, capsys):
         paths = write_demo_dataset(tmp_path / "dataset", goals_text=CHAIN_GOALS)
         paths["foon"].write_text(_chain_foon(400))
-        assert run_cli(paths, tmp_path / "out", "--max-depth", "405") == 1
-        err = capsys.readouterr().err
-        assert "recursion depth at bound" in err and "max_depth 405" in err
-        assert "Traceback" not in err
+        out_dir = tmp_path / "out"
+        assert run_cli(paths, out_dir, "--max-depth", "405") == 0
+        assert "Traceback" not in capsys.readouterr().err
+        units, diagnostics = parse_foon_text((out_dir / "item_400_ids.txt").read_text())
+        assert not diagnostics
+        assert len(units) == 400
+        kitchen = parse_kitchen(paths["kitchen"].read_text())
+        goal = parse_goals(CHAIN_GOALS)[0]
+        assert validate_tree(kitchen, TaskTree(steps=tuple(units), goal=goal.key)).ok
 
     @pytest.mark.parametrize("depth", ["0", "-3"])
     def test_depth_below_one_exits_one_without_traceback(

@@ -119,6 +119,24 @@ class TestProducers:
         graph = build_graph([u0, u1])
         assert [u.unit_index for u in graph.producers_of(node_key(g))] == [0, 1]
 
+    def test_live_producers_skip_units_the_kitchen_cannot_feed(self):
+        g = obj("g")
+        dead = unit([obj("missing")], "mix", [g])
+        live = unit([obj("a")], "pour", [g])
+        graph = build_graph([dead, live])
+        kitchen = Kitchen.from_nodes([obj("a")])
+        assert graph.live_producers(kitchen) == {node_key(g): (graph.units[1],)}
+        assert graph.live_producers(Kitchen.from_nodes([])) == {}
+
+    def test_live_producers_are_memoized_for_the_last_kitchen(self, chain):
+        graph, kitchen, _ = chain
+        first = graph.live_producers(kitchen)
+        assert graph.live_producers(kitchen) is first
+        assert graph.live_producers(Kitchen.from_nodes(kitchen.nodes)) is first
+        assert graph.live_producers(Kitchen.from_nodes([])) == {}
+        assert graph.live_producers(kitchen) == first
+        assert graph == build_graph(list(graph.units))
+
 
 class TestReachableOracle:
     def test_goal_already_in_kitchen(self):

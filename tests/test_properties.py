@@ -89,6 +89,19 @@ def test_producer_index_is_complete_and_exact(instance):
         assert list(produced_by) == expected
 
 
+@settings(deadline=None)
+@given(instances)
+def test_live_producers_are_exactly_those_the_oracle_can_feed(instance):
+    graph, kitchen = instance.graph, instance.kitchen
+    reachable = {key: reachable_oracle(graph, kitchen, key) for key in graph.node_keys()}
+    expected = {}
+    for key, producers in graph.producers.items():
+        fed = tuple(u for u in producers if all(reachable[k] for k in u.input_keys))
+        if fed:
+            expected[key] = fed
+    assert graph.live_producers(kitchen) == expected
+
+
 @given(instances)
 def test_oracle_is_monotone_in_the_kitchen(instance):
     goal = node_key(instance.goal)

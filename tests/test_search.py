@@ -17,15 +17,42 @@ from foon import (
     heuristic_select,
     ids_search,
     node_key,
+    reachable_oracle,
     validate_tree,
 )
 from tests.conftest import obj, unit
 from tests.finalize_reference import reference_finalize
+from tests.ids_reference import reference_ids_search
 from tests.randgen import random_instance
 
 
 def signatures(tree):
     return [u.signature for u in tree.steps]
+
+
+def long_chain(length, kitchen_has_start=True):
+    """``item 0`` --> ``item 1`` --> ... --> ``item <length>``, as (graph, kitchen, goal)."""
+    items = [obj(f"item {i}") for i in range(length + 1)]
+    units = [unit([items[i]], "cook", [items[i + 1]], index=i) for i in range(length)]
+    kitchen = Kitchen.from_nodes(items[:1] if kitchen_has_start else [])
+    return build_graph(units), kitchen, items[-1]
+
+
+def trap(levels=40, good=16):
+    """The goal's first producer leads into ``levels`` levels of two-way
+    alternatives that bottom out in a missing item; its second producer
+    ends a ``good``-unit chain from the kitchen."""
+    goal = obj("goal")
+    traps = [obj(f"trap {i}") for i in range(levels + 1)]
+    path = [obj(f"path {i}") for i in range(good)]
+    units = [unit([traps[0]], "enter trap", [goal])]
+    for i in range(levels):
+        units.append(unit([traps[i + 1]], "left", [traps[i]]))
+        units.append(unit([traps[i + 1]], "right", [traps[i]]))
+    units.append(unit([obj("missing")], "dead end", [traps[levels]]))
+    units += [unit([path[i]], "step", [path[i + 1]]) for i in range(good - 1)]
+    units.append(unit([path[-1]], "finish", [goal]))
+    return build_graph(units), Kitchen.from_nodes(path[:1]), goal
 
 
 class TestHeuristicSelect:
@@ -201,8 +228,10 @@ class TestIdsSearch:
     def test_cyclic_graph_terminates(self):
         a, b = obj("a"), obj("b")
         graph = build_graph([unit([a], "m1", [b], index=0), unit([b], "m2", [a], index=1)])
-        outcome = ids_search(graph, Kitchen.from_nodes([]), a)
-        assert outcome.status in (UNSOLVABLE, DEPTH_EXHAUSTED)
+        for max_depth in (1, 2, 100):
+            config = SearchConfig(max_depth=max_depth)
+            outcome = ids_search(graph, Kitchen.from_nodes([]), a, config)
+            assert outcome.status == UNSOLVABLE
 
     def test_bounds_above_first_success_still_succeed(self, chain):
         graph, kitchen, goal = chain
@@ -216,6 +245,87 @@ class TestIdsSearch:
         second = ids_search(graph, kitchen, goal)
         assert first.tree == second.tree
         assert first.stats.nodes_expanded == second.stats.nodes_expanded
+
+    def test_unreachable_goal_behind_a_deep_chain_is_unsolvable(self):
+        # Every bound up to max_depth runs out of depth on the chain, but no
+        # bound could reach the goal, since the kitchen lacks its start.
+        graph, kitchen, goal = long_chain(10, kitchen_has_start=False)
+        outcome = ids_search(graph, kitchen, goal, SearchConfig(max_depth=5))
+        assert outcome.status == UNSOLVABLE
+        assert "unreachable" in outcome.reason
+        assert outcome.stats.final_depth_bound is None
+
+    def test_chain_of_2000_units_is_solved(self):
+        graph, kitchen, goal = long_chain(2000)
+        outcome = ids_search(graph, kitchen, goal, SearchConfig(max_depth=2005))
+        assert outcome.status == SOLVED
+        assert outcome.stats.functional_unit_count == 2000
+        assert outcome.stats.final_depth_bound == 2001
+        assert validate_tree(kitchen, outcome.tree).ok
+
+    def test_trap_costs_a_few_expansions(self):
+        # Rerunning each bound from scratch over the full producer index
+        # makes 262k resolver calls here; the trap is dead at every bound.
+        graph, kitchen, goal = trap()
+        outcome = ids_search(graph, kitchen, goal)
+        assert outcome.status == SOLVED
+        assert [u.motion.label for u in outcome.tree.steps][-1] == "finish"
+        assert outcome.stats.functional_unit_count == 16
+        assert outcome.stats.nodes_expanded < 1_000
+
+    def test_each_bound_resumes_where_the_last_one_ran_out(self):
+        # From scratch, bound b replays the b - 1 calls of its predecessor:
+        # 20,502 calls in all for this chain.
+        graph, kitchen, goal = long_chain(200)
+        outcome = ids_search(graph, kitchen, goal, SearchConfig(max_depth=205))
+        assert outcome.status == SOLVED
+        assert outcome.stats.final_depth_bound == 201
+        assert outcome.stats.nodes_expanded < 1_000
+
+    def test_matches_the_recursive_reference(self):
+        """Differential check against the frozen recursive IDS.
+
+        Cyclic, acyclic and single-producer randgen instances, every pool
+        node as goal, several depth caps. Solved pairs keep their steps and
+        first successful bound and expand no more; a pair the reference
+        leaves unsolved stays unsolved, and it is ``unsolvable`` exactly
+        when the oracle says the goal is unreachable.
+        """
+        solved = exhausted_to_unsolvable = 0
+        for seed in range(150):
+            for kind in range(3):
+                instance = random_instance(
+                    random.Random(3 * seed + kind),
+                    acyclic=kind == 1,
+                    single_producer=kind == 2,
+                )
+                graph, kitchen = instance.graph, instance.kitchen
+                for goal in instance.pool:
+                    reachable = reachable_oracle(graph, kitchen, goal.key)
+                    for max_depth in (1, 2, 3, 5, 100):
+                        config = SearchConfig(max_depth=max_depth)
+                        expected = reference_ids_search(graph, kitchen, goal, config)
+                        actual = ids_search(graph, kitchen, goal, config)
+                        case = (seed, kind, goal.label, max_depth)
+                        if expected.solved:
+                            assert actual.solved, case
+                            assert actual.tree.steps == expected.tree.steps, case
+                            assert (
+                                actual.stats.final_depth_bound
+                                == expected.stats.final_depth_bound
+                            ), case
+                            assert (
+                                actual.stats.nodes_expanded
+                                <= expected.stats.nodes_expanded
+                            ), case
+                            solved += 1
+                            continue
+                        assert (actual.status == UNSOLVABLE) == (not reachable), case
+                        if actual.status != expected.status:
+                            assert expected.status == DEPTH_EXHAUSTED, case
+                            exhausted_to_unsolvable += 1
+                        assert not actual.solved, case
+        assert solved > 10_000 and exhausted_to_unsolvable > 1_000
 
 
 class TestGbfsSearch:
