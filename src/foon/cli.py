@@ -8,7 +8,8 @@ documents, optionally motion success rates):
   * ``bench`` forces all three algorithms and additionally prints a pivoted
               goal-by-algorithm summary of functional-unit counts.
 
-Exit codes: 0 all goals solved, 1 input error, 2 at least one goal unsolved.
+Exit codes: 0 all goals solved, 1 usage, input or write error, 2 at least
+one goal unsolved.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ class ReportRow:
 
 class _InputError(FoonError):
     """Unusable input file; maps to exit code 1."""
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FoonError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def slugify(label: str) -> str:
@@ -98,22 +106,23 @@ def load_inputs(args) -> tuple[FoonGraph, Kitchen, list[ObjectNode]]:
 def _run_goals(args, algorithms) -> list[ReportRow]:
     graph, kitchen, goals = load_inputs(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FoonError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
     rows: list[ReportRow] = []
     for goal, slug in zip(goals, _assign_slugs(goals)):
         for algorithm in algorithms:
             # Searches return only validated trees; they are written as is.
             outcome = run_algorithm(algorithm, graph, kitchen, goal, args.max_depth)
-            tree = outcome.tree if outcome.solved else None
+            tree = outcome.tree
             if tree is not None:
                 # Appended, not Path.with_suffix, which would cut a dotted
                 # label such as "1.5 cup" at its first dot.
                 stem = f"{slug}_{algorithm}"
-                text = serialize_task_tree(tree)
-                (out_dir / f"{stem}.txt").write_text(text, encoding="utf-8")
+                _write_text(out_dir / f"{stem}.txt", serialize_task_tree(tree))
                 if args.emit_dot:
-                    dot = export_dot(tree)
-                    (out_dir / f"{stem}.dot").write_text(dot, encoding="utf-8")
+                    _write_text(out_dir / f"{stem}.dot", export_dot(tree))
             rows.append(
                 ReportRow(
                     goal_label=goal.label,
@@ -172,7 +181,7 @@ def format_pivot(rows: list[ReportRow]) -> str:
 
 def _write_report(rows: list[ReportRow], path: str) -> None:
     payload = {"rows": [asdict(row) for row in rows]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_text(Path(path), json.dumps(payload, indent=2) + "\n")
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -205,8 +214,16 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse, but a usage error exits 1: exit code 2 means a goal is unsolved."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="foon", description="Task-tree retrieval from FOON graphs."
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -239,16 +256,15 @@ def main(argv=None) -> int:
 
     try:
         rows = _run_goals(args, algorithms)
+        print(format_table(rows))
+        if args.command == "bench":
+            print()
+            print(format_pivot(rows))
+        if args.report:
+            _write_report(rows, args.report)
     except FoonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    print(format_table(rows))
-    if args.command == "bench":
-        print()
-        print(format_pivot(rows))
-    if args.report:
-        _write_report(rows, args.report)
     return 0 if all(row.status == SOLVED for row in rows) else 2
 
 

@@ -384,13 +384,10 @@ def reachable_oracle(graph: FoonGraph, kitchen: Kitchen, goal: NodeKey) -> bool:
         for key in needs:
             waiting.setdefault(key, []).append(pos)
 
+    # A counter reaches zero once, so each unit is queued at most once.
     frontier = deque(pos for pos, n in enumerate(unmet) if n == 0)
-    fired: set[int] = set()
     while frontier:
         idx = frontier.popleft()
-        if idx in fired:
-            continue
-        fired.add(idx)
         for key in graph.units[idx].output_keys:
             if key in available:
                 continue

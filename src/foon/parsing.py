@@ -19,6 +19,14 @@ Blank lines are ignored, unknown tags are skipped with a warning, and all
 failures are reported as :class:`ParseDiagnostic` records instead of
 exceptions; any error-severity diagnostic fails the whole parse.
 
+The parser only splits lines into labels, states, containers and
+ingredients; the node types alone normalize and validate them, so the
+message for an empty label is the :class:`InvalidNodeError` of
+:class:`ObjectNode`, :class:`StateDescriptor` or :class:`MotionNode`,
+anchored to the O, S or M line. The S lines of each distinct object text
+(its O payload and S payloads) are parsed once per parse, and nodes with
+equal keys are one shared instance.
+
 Kitchen and goal files are JSON lists of ``{"label": ..., "states": [...],
 "ingredients": [...]}`` records whose state strings use the same payload
 mini-grammar as S lines. Motion success rates come from a JSON object
@@ -44,6 +52,7 @@ from .core import (
     FoonError,
     FoonGraph,
     FunctionalUnit,
+    InvalidNodeError,
     Kitchen,
     MotionNode,
     ObjectNode,
@@ -85,118 +94,25 @@ _OBJECT_TAGS = ("o", "0")  # "0" appears in older hand-written files
 def parse_state_payload(payload: str) -> tuple[StateDescriptor | None, frozenset[str]]:
     """Parse an S-line payload into a state plus the ingredients it carries.
 
-    A payload made only of braced groups naming at least one ingredient
-    carries no state, and the returned state is None. Otherwise raises
-    ValueError when the state label is empty once the braced and bracketed
-    groups are stripped.
+    Each braced group ``{a,b}`` adds its comma-separated parts as written
+    (:class:`ObjectNode` normalizes them and drops blank ones), the first
+    non-blank bracketed group names the relative container, and the rest is
+    the state label. A payload made only of braced groups naming at least
+    one ingredient carries no state, and the returned state is None.
+    Otherwise :class:`StateDescriptor` raises InvalidNodeError when the
+    state label is empty.
     """
-    ingredients: set[str] = set()
+    ingredients: list[str] = []
 
     def collect(match: re.Match) -> str:
-        ingredients.update(
-            filter(None, (normalize(part) for part in match.group(1).split(",")))
-        )
+        ingredients.extend(match.group(1).split(","))
         return " "
 
     rest = _BRACES.sub(collect, payload)
-    if ingredients and not normalize(rest):
+    if not rest.strip() and any(map(str.strip, ingredients)):
         return None, frozenset(ingredients)
-    containers = [normalize(m.group(1)) for m in _BRACKETS.finditer(rest)]
-    rest = _BRACKETS.sub(" ", rest)
-    label = normalize(rest)
-    if not label:
-        raise ValueError("state label is empty")
-    container = next((c for c in containers if c), None)
-    return StateDescriptor(label, container), frozenset(ingredients)
-
-
-class _BlockParser:
-    """Accumulates O/S/M lines of one block into a functional unit.
-
-    ``nodes`` is shared by all blocks of one parse, so each distinct object
-    node is built (and keyed) once and every later occurrence reuses it.
-    """
-
-    def __init__(self, diagnostics: list[ParseDiagnostic], nodes: dict):
-        self.diagnostics = diagnostics
-        self.nodes = nodes
-        self.inputs: list[ObjectNode] = []
-        self.outputs: list[ObjectNode] = []
-        self.motion: str | None = None
-        self.failed = False
-        self._label: str | None = None
-        self._states: set[StateDescriptor] = set()
-        self._ingredients: set[str] = set()
-        self._saw_object = False
-
-    def _error(self, line_number: int, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(line_number, message, ERROR))
-        self.failed = True
-
-    def _flush(self) -> None:
-        if self._label is None:
-            return
-        content = (self._label, frozenset(self._states), frozenset(self._ingredients))
-        node = self.nodes.get(content)
-        if node is None:
-            node = self.nodes[content] = ObjectNode(*content)
-        (self.outputs if self.motion is not None else self.inputs).append(node)
-        self._label = None
-        self._states = set()
-        self._ingredients = set()
-
-    def feed(self, line_number: int, tag: str, payload: str) -> None:
-        kind = tag.lower()
-        if kind in _OBJECT_TAGS:
-            label = normalize(payload)
-            if not label:
-                self._error(line_number, "object line with empty label")
-                return
-            self._flush()
-            self._label = label
-            self._saw_object = True
-        elif kind == "s":
-            if self._label is None:
-                self._error(line_number, "state line with no preceding object line")
-                return
-            try:
-                state, extra = parse_state_payload(payload)
-            except ValueError as exc:
-                self._error(line_number, str(exc))
-                return
-            if state is not None:
-                self._states.add(state)
-            self._ingredients.update(extra)
-        elif kind == "m":
-            if self.motion is not None:
-                self._error(line_number, "block has more than one motion line")
-                return
-            if not self._saw_object:
-                self._error(line_number, "motion line with no preceding object line")
-                return
-            label = normalize(payload)
-            if not label:
-                self._error(line_number, "motion line with empty label")
-                return
-            self._flush()
-            self.motion = label
-        else:
-            self.diagnostics.append(
-                ParseDiagnostic(line_number, f"unknown line tag {tag!r}", WARNING)
-            )
-
-    def finish(self, start_line: int, unit_index: int) -> FunctionalUnit | None:
-        self._flush()
-        if self.motion is None:
-            self._error(start_line, "block with no motion line")
-        if self.failed:
-            return None
-        return FunctionalUnit(
-            inputs=tuple(self.inputs),
-            motion=MotionNode(self.motion),
-            outputs=tuple(self.outputs),
-            unit_index=unit_index,
-        )
+    container = next(filter(str.strip, _BRACKETS.findall(rest)), None)
+    return StateDescriptor(_BRACKETS.sub(" ", rest), container), frozenset(ingredients)
 
 
 def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnostic]]:
@@ -207,41 +123,100 @@ def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnost
     """
     diagnostics: list[ParseDiagnostic] = []
     units: list[FunctionalUnit] = []
-    nodes: dict[tuple, ObjectNode] = {}  # (label, states, ingredients) -> node
+    built: dict[tuple[str, ...], ObjectNode] = {}  # O and S payloads -> node
+    shared: dict[str, ObjectNode] = {}  # node key -> its one instance
+    failed = False
 
-    block: _BlockParser | None = None
-    block_start = 0
+    def error(line_number: int, message: str) -> None:
+        nonlocal failed
+        failed = True
+        diagnostics.append(ParseDiagnostic(line_number, message, ERROR))
+
+    def build(lines: list[int], payloads: list[str]) -> ObjectNode | None:
+        # Only the first occurrence of an object text parses its S lines. A
+        # failed build is not stored, so every occurrence reports its line.
+        content = tuple(payloads)
+        node = built.get(content)
+        if node is not None:
+            return node
+        states: set[StateDescriptor] = set()
+        ingredients: set[str] = set()
+        for line_number, payload in zip(lines[1:], payloads[1:]):
+            try:
+                state, extra = parse_state_payload(payload)
+            except InvalidNodeError as exc:
+                error(line_number, str(exc))
+                return None
+            if state is not None:
+                states.add(state)
+            ingredients.update(extra)
+        try:
+            node = ObjectNode(payloads[0], frozenset(states), frozenset(ingredients))
+        except InvalidNodeError as exc:
+            error(lines[0], str(exc))
+            return None
+        node = built[content] = shared.setdefault(node.key, node)
+        return node
+
+    def close(start: int, inputs: list, outputs: list, motion: MotionNode | None):
+        input_nodes = [build(*obj) for obj in inputs]
+        output_nodes = [build(*obj) for obj in outputs]
+        if motion is None:
+            error(start, "block with no motion line")
+        if not failed:
+            units.append(FunctionalUnit(input_nodes, motion, output_nodes, len(units)))
+
+    # Per block: each object is a pair (line numbers, payloads) of its O line
+    # and S lines; ``objects`` is the side new objects join, outputs after M.
+    start: int | None = None
     previous_delimiter: int | None = None
     for line_number, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped:
             continue
         if stripped.startswith("//"):
-            if block is not None:
-                unit = block.finish(block_start, len(units))
-                if unit is not None:
-                    units.append(unit)
-                block = None
+            if start is not None:
+                close(start, inputs, outputs, motion)
+                start = None
             elif previous_delimiter is not None:
                 diagnostics.append(
                     ParseDiagnostic(line_number, "empty functional-unit block", WARNING)
                 )
             previous_delimiter = line_number
             continue
-        if block is None:
-            block = _BlockParser(diagnostics, nodes)
-            block_start = line_number
-        parts = stripped.split(None, 1)
-        block.feed(line_number, parts[0], parts[1] if len(parts) > 1 else "")
-
-    if block is not None:
-        unit = block.finish(block_start, len(units))
-        if unit is not None:
-            units.append(unit)
-
-    if any(d.severity == ERROR for d in diagnostics):
-        return [], diagnostics
-    return units, diagnostics
+        if start is None:
+            start, inputs, outputs, motion, obj = line_number, [], [], None, None
+            objects = inputs
+        tag, *rest = stripped.split(None, 1)
+        payload = rest[0] if rest else ""
+        kind = tag.lower()
+        if kind in _OBJECT_TAGS:
+            obj = ([line_number], [payload])
+            objects.append(obj)
+        elif kind == "s":
+            if obj is None:
+                error(line_number, "state line with no preceding object line")
+            else:
+                obj[0].append(line_number)
+                obj[1].append(payload)
+        elif kind == "m":
+            if objects is outputs:
+                error(line_number, "block has more than one motion line")
+            elif not inputs:
+                error(line_number, "motion line with no preceding object line")
+            else:
+                objects, obj = outputs, None
+                try:
+                    motion = MotionNode(payload)
+                except InvalidNodeError as exc:
+                    error(line_number, str(exc))
+        else:
+            diagnostics.append(
+                ParseDiagnostic(line_number, f"unknown line tag {tag!r}", WARNING)
+            )
+    if start is not None:
+        close(start, inputs, outputs, motion)
+    return ([] if failed else units), diagnostics
 
 
 def _parse_node_records(text: str, what: str) -> list[ObjectNode]:
@@ -260,8 +235,8 @@ def _parse_node_records(text: str, what: str) -> list[ObjectNode]:
         if "label" not in entry:
             raise SchemaError(f'{where}: missing "label"')
         label = entry["label"]
-        if not isinstance(label, str) or not normalize(label):
-            raise SchemaError(f'{where}: "label" must be a non-empty string')
+        if not isinstance(label, str):
+            raise SchemaError(f'{where}: "label" must be a string')
         states_raw = entry.get("states", [])
         ingredients_raw = entry.get("ingredients", [])
         if not isinstance(states_raw, list):
@@ -276,7 +251,7 @@ def _parse_node_records(text: str, what: str) -> list[ObjectNode]:
                 raise SchemaError(f'{where}: "states" must be a list of strings')
             try:
                 state, extra = parse_state_payload(s)
-            except ValueError as exc:
+            except InvalidNodeError as exc:
                 raise SchemaError(f"{where}: state {s!r}: {exc}") from exc
             if state is None:
                 # Records list ingredients in their own field.
@@ -287,7 +262,10 @@ def _parse_node_records(text: str, what: str) -> list[ObjectNode]:
             if not isinstance(ing, str):
                 raise SchemaError(f'{where}: "ingredients" must be a list of strings')
             ingredients.add(ing)
-        nodes.append(ObjectNode(label, frozenset(states), frozenset(ingredients)))
+        try:
+            nodes.append(ObjectNode(label, frozenset(states), frozenset(ingredients)))
+        except InvalidNodeError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
     return nodes
 
 

@@ -69,7 +69,6 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchStats:
-    functional_unit_count: int
     nodes_expanded: int
     final_depth_bound: int | None
     elapsed_seconds: float
@@ -395,7 +394,6 @@ def ids_search(
 
     elapsed = time.perf_counter() - start
     stats = SearchStats(
-        functional_unit_count=len(tree.steps) if tree else 0,
         nodes_expanded=total_calls,
         final_depth_bound=final_bound,
         elapsed_seconds=elapsed,
@@ -455,7 +453,6 @@ def gbfs_search(
 
     elapsed = time.perf_counter() - start
     stats = SearchStats(
-        functional_unit_count=len(tree.steps) if tree else 0,
         nodes_expanded=expanded,
         final_depth_bound=None,
         elapsed_seconds=elapsed,

@@ -148,7 +148,6 @@ def reference_ids_search(
 
     elapsed = time.perf_counter() - start
     stats = SearchStats(
-        functional_unit_count=len(tree.steps) if tree else 0,
         nodes_expanded=total_calls,
         final_depth_bound=final_bound,
         elapsed_seconds=elapsed,

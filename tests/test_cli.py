@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,10 @@ SALT_KITCHEN = (
     ' {"label": "pot", "states": ["contains {water}"]}]'
 )
 SALT_GOALS = '[{"label": "soup", "ingredients": ["salt", "water"]}]'
+# A goal whose file name is longer than any file system allows.
+LONG_LABEL = "x" * 300
+LONG_FOON = f"//\nO pitcher\nS contains {{water}}\nM pour\nO {LONG_LABEL}\nS full\n//\n"
+LONG_GOALS = f'[{{"label": "{LONG_LABEL}", "states": ["full"]}}]'
 
 
 def _chain_foon(length):
@@ -244,6 +252,29 @@ class TestRun:
         assert "error: --max-depth must be at least 1" in err
         assert "Traceback" not in err
 
+    def test_unwritable_tree_file_exits_one_without_traceback(self, tmp_path, capsys):
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=LONG_GOALS)
+        paths["foon"].write_text(LONG_FOON)
+        assert run_cli(paths, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert "error: cannot write" in err
+        assert "Traceback" not in err
+
+    def test_out_dir_that_is_a_file_exits_one_without_traceback(
+        self, demo_dataset, tmp_path, capsys
+    ):
+        out_file = tmp_path / "out"
+        out_file.write_text("not a directory")
+        assert run_cli(demo_dataset, out_file) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot write" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_report_exits_one(self, demo_dataset, tmp_path, capsys):
+        report = tmp_path / "missing" / "report.json"
+        assert run_cli(demo_dataset, tmp_path / "out", "--report", str(report)) == 1
+        assert "error: cannot write" in capsys.readouterr().err
+
     def test_malformed_foon_exits_one(self, demo_dataset, tmp_path, capsys):
         demo_dataset["foon"].write_text("//\nO cup\nS empty\n//\n")
         assert run_cli(demo_dataset, tmp_path / "out") == 1
@@ -263,6 +294,59 @@ class TestRun:
         demo_dataset["foon"].write_bytes(b"//\nO caf\xff\nM pour\nO x\n//\n")
         assert run_cli(demo_dataset, tmp_path / "out") == 1
         assert "cannot read" in capsys.readouterr().err
+
+
+def run_foon_process(*args):
+    """Run the CLI in its own process; returns (exit code, stderr)."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "foon.cli", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return result.returncode, result.stderr
+
+
+class TestUsageErrors:
+    """Exit code 2 means "a goal is unsolved", so usage errors exit 1."""
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--max-depth", "abc"], "invalid int value: 'abc'"),
+            (["--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+        ],
+    )
+    def test_bad_argument_exits_one(self, demo_dataset, tmp_path, extra, message):
+        code, err = run_foon_process(
+            "run",
+            "--foon", str(demo_dataset["foon"]),
+            "--kitchen", str(demo_dataset["kitchen"]),
+            "--goals", str(demo_dataset["goals"]),
+            "--out-dir", str(tmp_path / "out"),
+            *extra,
+        )
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_missing_foon_exits_one(self, demo_dataset):
+        code, err = run_foon_process(
+            "run",
+            "--kitchen", str(demo_dataset["kitchen"]),
+            "--goals", str(demo_dataset["goals"]),
+        )
+        assert code == 1
+        assert "the following arguments are required: --foon" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [["--help"], ["run", "--help"]])
+    def test_help_exits_zero(self, args):
+        assert run_foon_process(*args) == (0, "")
 
 
 class TestBench:

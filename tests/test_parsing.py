@@ -1,7 +1,11 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import foon.parsing
 from foon import (
     FoonWarning,
+    InvalidNodeError,
     SchemaError,
     StateDescriptor,
     TaskTree,
@@ -9,6 +13,7 @@ from foon import (
     build_graph,
     export_dot,
     node_key,
+    normalize,
     parse_foon_text,
     parse_goals,
     parse_kitchen,
@@ -17,6 +22,11 @@ from foon import (
     serialize_units,
 )
 from tests.conftest import SAMPLE_UNIT_TEXT, obj, unit
+from tests.parse_reference import (
+    reference_parse_foon_text,
+    reference_parse_state_payload,
+)
+from tests.test_properties import unit_lists
 
 
 class TestParseFoonText:
@@ -104,10 +114,127 @@ class TestParseFoonText:
         with pytest.raises(Exception):
             build_graph(units)
 
+    def test_repeated_object_text_parses_its_state_lines_once(self, monkeypatch):
+        calls: dict[str, int] = {}
+        original = foon.parsing.parse_state_payload
+
+        def counting(payload):
+            calls[payload] = calls.get(payload, 0) + 1
+            return original(payload)
+
+        monkeypatch.setattr(foon.parsing, "parse_state_payload", counting)
+        text = "".join(
+            f"//\nO cup\nS dirty {{soap}}\nM rinse\nO plate {i}\nS clean\n"
+            for i in range(50)
+        )
+        units, diagnostics = parse_foon_text(text)
+        assert not diagnostics and len(units) == 50
+        assert calls == {"dirty {soap}": 1, "clean": 50}
+        assert all(u.inputs[0] is units[0].inputs[0] for u in units)
+
+    def test_invalid_object_reports_every_occurrence(self):
+        block = "//\nO cup\nS {}\nM pour\nO cup\nS full\n"
+        units, diagnostics = parse_foon_text(block + block + "//\n")
+        assert units == []
+        errors = [d.line_number for d in diagnostics if d.severity == "error"]
+        assert errors == [3, 9]
+
+    def test_empty_labels_are_reported_by_the_node_types(self):
+        for text, line in (
+            ("//\nO  \nM pour\nO cup\n//\n", 2),
+            ("//\nO cup\nS [bowl]\nM pour\nO cup\n//\n", 3),
+            ("//\nO cup\nM\nO cup\n//\n", 3),
+        ):
+            units, diagnostics = parse_foon_text(text)
+            assert units == []
+            assert any(
+                d.line_number == line and "empty after normalization" in d.message
+                for d in diagnostics
+            )
+
     def test_never_raises_on_junk(self):
         for text in ("O\n", "S\n", "M\n", "\x00\x01", "// // //", "O a\nM\n"):
             units, diagnostics = parse_foon_text(text)
             assert isinstance(units, list) and isinstance(diagnostics, list)
+
+
+_WORDS = ["cup", "Cup", " ice ", "in", "salt", "Big  Bowl", "\u00e9"]
+_word = st.sampled_from(_WORDS)
+_payloads = st.lists(
+    st.one_of(
+        _word,
+        st.lists(st.sampled_from(_WORDS + ["", " "]), max_size=3).map(
+            lambda parts: "{" + ",".join(parts) + "}"
+        ),
+        st.sampled_from(_WORDS + ["", " "]).map(lambda w: f"[{w}]"),
+        st.sampled_from(["", " ", "\t", ",", "{", "}", "[", "]"]),
+    ),
+    max_size=4,
+).map(" ".join)
+# Any line of the format, well formed or not, in mixed case and spacing.
+_lines = st.one_of(
+    st.sampled_from(["//", "// end", "  //", "", "   ", "\t"]),
+    st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(["", "  ", "\t"]),
+            st.sampled_from(["O", "o", "0", "S", "s", "M", "m", "X", "Oo"]),
+            st.sampled_from(["", " ", "   ", "\t"]),
+            _payloads,
+        ),
+    ),
+)
+_object_lines = st.builds(
+    lambda tag, label, states: [f"{tag} {label}", *(f"S {s}" for s in states)],
+    st.sampled_from(["O", "o", "0"]),
+    _word,
+    st.lists(_payloads, max_size=3),
+)
+_blocks = st.builds(
+    lambda inputs, motion, outputs: ["//", *sum(inputs, []), motion, *sum(outputs, [])],
+    st.lists(_object_lines, min_size=1, max_size=3),
+    _word.map(lambda w: f"M {w}"),
+    st.lists(_object_lines, max_size=2),
+)
+# Mostly well-formed blocks over a small vocabulary, so objects repeat,
+# with stray lines of any kind between them.
+foon_texts = st.one_of(
+    st.lists(st.one_of(_blocks, _lines.map(lambda line: [line])), max_size=8).map(
+        lambda chunks: "\n".join(line for chunk in chunks for line in chunk)
+    ),
+    unit_lists.map(serialize_units),
+)
+
+
+class TestAgainstReference:
+    """The one-pass parser against a frozen copy of the block-object parser."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(foon_texts)
+    def test_same_units_and_verdict_as_the_reference(self, text):
+        units, diagnostics = parse_foon_text(text)
+        expected_units, expected_diagnostics = reference_parse_foon_text(text)
+        assert units == expected_units
+        failed = any(d.severity == "error" for d in expected_diagnostics)
+        assert any(d.severity == "error" for d in diagnostics) == failed
+        if not failed:
+            assert diagnostics == expected_diagnostics
+        nodes = [n for u in units for n in (*u.inputs, *u.outputs)]
+        assert len({n.key for n in nodes}) == len({id(n) for n in nodes})
+
+    @settings(max_examples=1000)
+    @given(st.one_of(_payloads, st.text(alphabet=" \t{}[],aB", max_size=12)))
+    def test_state_payload_matches_the_reference(self, payload):
+        # The reference normalizes ingredients itself; ObjectNode does now.
+        try:
+            expected = reference_parse_state_payload(payload)
+        except ValueError:
+            with pytest.raises(InvalidNodeError):
+                foon.parsing.parse_state_payload(payload)
+            return
+        state, ingredients = foon.parsing.parse_state_payload(payload)
+        assert state == expected[0]
+        assert set(map(normalize, ingredients)) - {""} == expected[1]
 
 
 class TestKitchenAndGoals:
@@ -149,6 +276,20 @@ class TestKitchenAndGoals:
     def test_schema_error_names_entry_index(self):
         with pytest.raises(SchemaError, match="entry 1"):
             parse_kitchen('[{"label": "a"}, {"nope": 1}]')
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('{"label": "  "}', "entry 1: object label is empty"),
+            (
+                '{"label": "a", "states": ["[bowl]"]}',
+                r"entry 1: state '\[bowl\]': state label is empty",
+            ),
+        ],
+    )
+    def test_empty_label_error_names_the_entry(self, entry, message):
+        with pytest.raises(SchemaError, match=message):
+            parse_kitchen(f'[{{"label": "b"}}, {entry}]')
 
     def test_goals_preserve_order(self):
         goals = parse_goals('[{"label": "b"}, {"label": "a"}]')

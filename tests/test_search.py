@@ -162,7 +162,6 @@ class TestIdsSearch:
         assert outcome.status == SOLVED
         assert outcome.tree.steps == ()
         assert outcome.stats.final_depth_bound == 1
-        assert outcome.stats.functional_unit_count == 0
 
     def test_bound_zero_always_cuts_off(self):
         graph = build_graph([])
@@ -259,7 +258,7 @@ class TestIdsSearch:
         graph, kitchen, goal = long_chain(2000)
         outcome = ids_search(graph, kitchen, goal, SearchConfig(max_depth=2005))
         assert outcome.status == SOLVED
-        assert outcome.stats.functional_unit_count == 2000
+        assert len(outcome.tree.steps) == 2000
         assert outcome.stats.final_depth_bound == 2001
         assert validate_tree(kitchen, outcome.tree).ok
 
@@ -270,7 +269,7 @@ class TestIdsSearch:
         outcome = ids_search(graph, kitchen, goal)
         assert outcome.status == SOLVED
         assert [u.motion.label for u in outcome.tree.steps][-1] == "finish"
-        assert outcome.stats.functional_unit_count == 16
+        assert len(outcome.tree.steps) == 16
         assert outcome.stats.nodes_expanded < 1_000
 
     def test_each_bound_resumes_where_the_last_one_ran_out(self):
