@@ -15,6 +15,7 @@ one goal unsolved.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import sys
@@ -45,10 +46,6 @@ class ReportRow:
     elapsed_seconds: float
 
 
-class _InputError(FoonError):
-    """Unusable input file; maps to exit code 1."""
-
-
 def _write_text(path: Path, text: str) -> None:
     try:
         path.write_text(text, encoding="utf-8")
@@ -57,8 +54,16 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def slugify(label: str) -> str:
-    """Filesystem-safe name for a goal label."""
-    return re.sub(r"[^a-z0-9_.-]+", "_", label.replace(" ", "_"))
+    """Filesystem-safe ASCII name for a goal label.
+
+    A slug over 200 characters keeps its first 191 and ends in ``_`` and 8
+    hex digits of the label's sha1, so every file name stays within the
+    usual 255-byte limit.
+    """
+    slug = re.sub(r"[^a-z0-9_.-]+", "_", label.replace(" ", "_"))
+    if len(slug) > 200:
+        slug = f"{slug[:191]}_{hashlib.sha1(label.encode()).hexdigest()[:8]}"
+    return slug
 
 
 def _assign_slugs(goals: list[ObjectNode]) -> list[str]:
@@ -81,17 +86,17 @@ def _read_text(path: str, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _InputError(f"cannot read {what} file {path}: {exc}") from exc
+        raise FoonError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def load_inputs(args) -> tuple[FoonGraph, Kitchen, list[ObjectNode]]:
-    """Parse and assemble all input files, raising _InputError on any problem."""
+    """Parse and assemble all input files, raising FoonError on any problem."""
     foon_text = _read_text(args.foon, "FOON")
     units, diagnostics = parse_foon_text(foon_text)
     for diag in diagnostics:
         print(f"{args.foon}: {diag}", file=sys.stderr)
     if any(d.severity == ERROR for d in diagnostics):
-        raise _InputError(f"{args.foon}: FOON text did not parse")
+        raise FoonError(f"{args.foon}: FOON text did not parse")
 
     if args.motion_rates:
         rates = parse_motion_rates(_read_text(args.motion_rates, "motion rates"))

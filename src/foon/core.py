@@ -7,6 +7,9 @@ deduplicated store of units plus a producer index mapping each object node
 to the units that output it. A *task tree* is an execution-ordered list of
 units that turns a kitchen (the objects assumed available) into a goal node.
 
+:func:`forward_chain`, the one forward pass from a kitchen, gives both the
+live-producer index and the step order of every retrieved task tree.
+
 Object identity is canonical: labels, states and ingredients are lowercased,
 trimmed and whitespace-collapsed, and two nodes are the same node exactly
 when their normalized content is equal. Each node computes its key, and
@@ -19,6 +22,7 @@ function of the graph and that kitchen.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -192,37 +196,17 @@ class FoonGraph:
         """The producer index restricted to units the kitchen can feed.
 
         Maps each key to its producers, in ascending unit_index order, whose
-        inputs are all reachable from ``kitchen`` by forward chaining; a key
-        with no such producer is absent. One linear counter pass over all
-        units (Dowling & Gallier 1984) finds the reachable keys. The result
-        is memoized for the last kitchen key set, so every goal searched
-        against one kitchen shares it.
+        inputs are all reachable from ``kitchen``; a key with no such
+        producer is absent. One :func:`forward_chain` pass over all units
+        finds the reachable keys. The result is memoized for the last
+        kitchen key set, so every goal searched against one kitchen shares it.
         """
         memo = self._live_memo
         if memo is not None and (memo[0] is kitchen.keys or memo[0] == kitchen.keys):
             return memo[1]
 
         reachable: set[NodeKey] = set(kitchen.keys)
-        waiting: dict[NodeKey, list[int]] = {}
-        unmet: list[int] = []
-        ready: list[int] = []
-        for pos, unit in enumerate(self.units):
-            needs = set(unit.input_keys) - reachable
-            unmet.append(len(needs))
-            for key in needs:
-                waiting.setdefault(key, []).append(pos)
-            if not needs:
-                ready.append(pos)
-        while ready:
-            for key in self.units[ready.pop()].output_keys:
-                if key in reachable:
-                    continue
-                reachable.add(key)
-                for waiter in waiting.get(key, ()):
-                    unmet[waiter] -= 1
-                    if not unmet[waiter]:
-                        ready.append(waiter)
-
+        forward_chain(self.units, reachable)
         live: dict[NodeKey, tuple[FunctionalUnit, ...]] = {}
         for key, units in self.producers.items():
             fed = tuple(u for u in units if reachable.issuperset(u.input_keys))
@@ -241,6 +225,39 @@ class FoonGraph:
 
     def __len__(self) -> int:
         return len(self.units)
+
+
+def forward_chain(units, available: set[NodeKey]) -> list[int]:
+    """Fire units lowest position first; return the positions in firing order.
+
+    A unit fires once all its inputs are in ``available``, which gains its
+    outputs and so ends as the closure (availability only grows, so a ready
+    unit stays ready). Units behind a missing input or a cycle never fire.
+    Unmet-input counters keep the pass linear (Dowling & Gallier 1984).
+    """
+    waiting: dict[NodeKey, list[int]] = {}
+    unmet: list[int] = []
+    ready: list[int] = []  # ascending, so already a heap
+    for pos, unit in enumerate(units):
+        needs = set(unit.input_keys) - available
+        unmet.append(len(needs))
+        for key in needs:
+            waiting.setdefault(key, []).append(pos)
+        if not needs:
+            ready.append(pos)
+    fired: list[int] = []
+    while ready:
+        pos = heapq.heappop(ready)
+        fired.append(pos)
+        for key in units[pos].output_keys:
+            if key in available:
+                continue
+            available.add(key)
+            for waiter in waiting.get(key, ()):
+                unmet[waiter] -= 1
+                if not unmet[waiter]:
+                    heapq.heappush(ready, waiter)
+    return fired
 
 
 def build_graph(units: list[FunctionalUnit] | tuple[FunctionalUnit, ...]) -> FoonGraph:

@@ -30,7 +30,8 @@ equal keys are one shared instance.
 Kitchen and goal files are JSON lists of ``{"label": ..., "states": [...],
 "ingredients": [...]}`` records whose state strings use the same payload
 mini-grammar as S lines. Motion success rates come from a JSON object
-mapping motion label to a number in [0, 1].
+mapping motion label to a number; :class:`MotionNode` normalizes the label
+and checks that the rate lies in [0, 1].
 
 Serialization is canonical: states sorted by (label, container),
 ingredients sorted lexicographically and attached to the first state line
@@ -59,7 +60,6 @@ from .core import (
     StateDescriptor,
     TaskTree,
     _state_sort_key,
-    normalize,
 )
 
 WARNING = "warning"
@@ -299,19 +299,15 @@ def parse_motion_rates(text: str) -> dict[str, float]:
 
     rates: dict[str, float] = {}
     for raw_label, value in data:
-        label = normalize(raw_label)
-        if not label:
-            raise SchemaError("motion rates: empty motion label")
-        if label in rates:
-            raise SchemaError(f"motion rates: duplicate motion {label!r}")
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise SchemaError(f"motion rates: rate for {label!r} must be a number")
-        rate = float(value)
-        if not 0.0 <= rate <= 1.0:
-            raise SchemaError(
-                f"motion rates: rate for {label!r} outside [0, 1]: {value!r}"
-            )
-        rates[label] = rate
+            raise SchemaError(f"motion rates: rate for {raw_label!r} must be a number")
+        try:
+            motion = MotionNode(raw_label, value)
+        except InvalidNodeError as exc:
+            raise SchemaError(f"motion rates: motion {raw_label!r}: {exc}") from exc
+        if motion.label in rates:
+            raise SchemaError(f"motion rates: duplicate motion {motion.label!r}")
+        rates[motion.label] = motion.success_rate
     return rates
 
 
@@ -320,9 +316,10 @@ def apply_motion_rates(
 ) -> list[FunctionalUnit]:
     """Attach success rates to motions; absent motions default to 1.0.
 
+    Rate labels are matched after :class:`MotionNode` normalizes them.
     Warns once per motion label that has no entry in the rate map.
     """
-    motions = {label: MotionNode(label, rate) for label, rate in rates.items()}
+    motions = {m.label: m for m in map(MotionNode, rates, rates.values())}
     missing: set[str] = set()
     out: list[FunctionalUnit] = []
     for unit in units:

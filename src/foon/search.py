@@ -18,16 +18,16 @@ Heuristics: ``success_rate`` prefers the unit whose motion has the highest
 success rate, ``input_count`` the unit with the fewest inputs; ties go to
 the lowest unit index.
 
-Units are discovered goal-first. Both searches end in one pass,
+Units are discovered goal-first. Both searches end in
 :func:`finalize_tree`: reverse the discovery list, drop duplicates, order
-the steps by a stable topological sort (a no-op for chain- and tree-shaped
-recipes), trim after the last goal producer, and validate once.
+the steps by the same forward pass from the kitchen that finds the live
+producers (:func:`~foon.core.forward_chain`; a no-op for chain- and
+tree-shaped recipes), trim after the last goal producer, and validate once.
 :data:`ALGORITHMS` maps each algorithm name to its search call.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -39,6 +39,7 @@ from .core import (
     NodeKey,
     ObjectNode,
     TaskTree,
+    forward_chain,
     validate_tree,
 )
 
@@ -48,7 +49,12 @@ DEPTH_EXHAUSTED = "depth_exhausted"
 
 SUCCESS_RATE = "success_rate"
 INPUT_COUNT = "input_count"
-HEURISTICS = (SUCCESS_RATE, INPUT_COUNT)
+# Heuristic name -> ranking key: greedy search commits to the candidate
+# with the smallest key, so ties go to the lowest unit index.
+HEURISTICS = {
+    SUCCESS_RATE: lambda unit: (-unit.motion.success_rate, unit.unit_index),
+    INPUT_COUNT: lambda unit: (len(unit.inputs), unit.unit_index),
+}
 
 DEFAULT_MAX_DEPTH = 100
 
@@ -100,29 +106,26 @@ class SearchOutcome:
 def heuristic_select(candidates, mode: str) -> FunctionalUnit:
     """Pick one producing unit: argmax success rate or argmin input count.
 
-    Ties break toward the lowest unit index. The candidate list must be
-    non-empty.
+    Ties break toward the lowest unit index (see :data:`HEURISTICS`). The
+    candidate sequence must be non-empty.
     """
-    candidates = list(candidates)
+    if mode not in HEURISTICS:
+        raise ValueError(f"unknown heuristic {mode!r}")
     if not candidates:
         raise ValueError("heuristic_select: empty candidate list")
-    if mode == SUCCESS_RATE:
-        return min(candidates, key=lambda u: (-u.motion.success_rate, u.unit_index))
-    if mode == INPUT_COUNT:
-        return min(candidates, key=lambda u: (len(u.inputs), u.unit_index))
-    raise ValueError(f"unknown heuristic {mode!r}")
+    return min(candidates, key=HEURISTICS[mode])
 
 
 def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None:
     """Turn a goal-first discovery list into a validated task tree.
 
     Reverses the discovery order, keeps the first occurrence of each
-    structurally identical unit, then repeatedly takes the earliest step
-    whose inputs are all available (a stable Kahn pass: availability only
-    grows, so a ready step stays ready). Steps after the last one that
-    outputs the goal are dropped. Returns None when the steps cannot all
-    run in any order (a circular dependency); raises RuntimeError if the
-    ordered tree still fails :func:`validate_tree`.
+    structurally identical unit, then orders the steps by one
+    :func:`~foon.core.forward_chain` pass from the kitchen (the earliest
+    ready step first). Steps after the last one that outputs the goal are
+    dropped. Returns None when the steps cannot all run in any order (a
+    circular dependency); raises RuntimeError if the ordered tree still
+    fails :func:`validate_tree`.
     """
     steps: list[FunctionalUnit] = []
     seen: set[tuple] = set()
@@ -131,37 +134,12 @@ def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None
             seen.add(unit.signature)
             steps.append(unit)
 
-    available = set(kitchen.keys)
-    unmet: list[int] = []
-    waiting: dict[NodeKey, list[int]] = {}
-    ready: list[int] = []
-    for pos, unit in enumerate(steps):
-        needs = set(unit.input_keys) - available
-        unmet.append(len(needs))
-        for key in needs:
-            waiting.setdefault(key, []).append(pos)
-        if not needs:
-            ready.append(pos)
-
-    ordered: list[FunctionalUnit] = []
-    last_producer = -1
-    while ready:
-        unit = steps[heapq.heappop(ready)]
-        if goal in unit.output_keys:
-            last_producer = len(ordered)
-        ordered.append(unit)
-        for key in unit.output_keys:
-            if key in available:
-                continue
-            available.add(key)
-            for waiter in waiting.get(key, ()):
-                unmet[waiter] -= 1
-                if unmet[waiter] == 0:
-                    heapq.heappush(ready, waiter)
+    ordered = [steps[pos] for pos in forward_chain(steps, set(kitchen.keys))]
     if len(ordered) < len(steps):
         return None
-
-    tree = TaskTree(steps=tuple(ordered[: last_producer + 1]), goal=goal)
+    while ordered and goal not in ordered[-1].output_keys:
+        ordered.pop()
+    tree = TaskTree(steps=tuple(ordered), goal=goal)
     report = validate_tree(kitchen, tree)
     if not report.ok:
         raise RuntimeError(

@@ -15,7 +15,7 @@ from foon import (
     parse_kitchen,
     validate_tree,
 )
-from foon.cli import main
+from foon.cli import main, slugify
 from tests.conftest import DEMO_FOON, DEMO_KITCHEN, write_demo_dataset
 
 
@@ -57,10 +57,16 @@ SALT_KITCHEN = (
     ' {"label": "pot", "states": ["contains {water}"]}]'
 )
 SALT_GOALS = '[{"label": "soup", "ingredients": ["salt", "water"]}]'
-# A goal whose file name is longer than any file system allows.
+# A goal whose label is longer than any file name may be, then "tea".
 LONG_LABEL = "x" * 300
-LONG_FOON = f"//\nO pitcher\nS contains {{water}}\nM pour\nO {LONG_LABEL}\nS full\n//\n"
-LONG_GOALS = f'[{{"label": "{LONG_LABEL}", "states": ["full"]}}]'
+LONG_FOON = "".join(
+    f"//\nO pitcher\nS contains {{water}}\nM pour\nO {label}\nS full\n"
+    for label in (LONG_LABEL, "tea")
+) + "//\n"
+LONG_GOALS = (
+    f'[{{"label": "{LONG_LABEL}", "states": ["full"]}},'
+    ' {"label": "tea", "states": ["full"]}]'
+)
 
 
 def _chain_foon(length):
@@ -252,10 +258,27 @@ class TestRun:
         assert "error: --max-depth must be at least 1" in err
         assert "Traceback" not in err
 
-    def test_unwritable_tree_file_exits_one_without_traceback(self, tmp_path, capsys):
+    def test_overlong_goal_label_gets_a_capped_slug(self, tmp_path):
         paths = write_demo_dataset(tmp_path / "dataset", goals_text=LONG_GOALS)
         paths["foon"].write_text(LONG_FOON)
-        assert run_cli(paths, tmp_path / "out") == 1
+        out_dir = tmp_path / "out"
+        assert run_cli(paths, out_dir, "--emit-dot") == 0
+        names = [p.name for p in out_dir.iterdir()]
+        assert len(names) == 12
+        assert all(len(name.encode()) <= 255 for name in names)
+        assert sum(name.startswith("x" * 191 + "_") for name in names) == 6
+        assert {"tea_ids.txt", "tea_gbfs_a.dot", "tea_gbfs_b.txt"} <= set(names)
+        # Labels alike in their first 200 characters keep distinct slugs.
+        slugs = {slugify(LONG_LABEL + end) for end in ("a", "b")}
+        assert len(slugs) == 2 and {len(s) for s in slugs} == {200}
+
+    def test_unwritable_tree_file_exits_one_without_traceback(
+        self, demo_dataset, tmp_path, capsys
+    ):
+        # A directory where the IDS tree file should go makes its write fail.
+        out_dir = tmp_path / "out"
+        (out_dir / "drinking_glass_ids.txt").mkdir(parents=True)
+        assert run_cli(demo_dataset, out_dir) == 1
         err = capsys.readouterr().err
         assert "error: cannot write" in err
         assert "Traceback" not in err

@@ -14,6 +14,7 @@ from foon import (
     reachable_oracle,
     validate_tree,
 )
+from foon.core import forward_chain
 from tests.conftest import obj, unit
 
 
@@ -136,6 +137,24 @@ class TestProducers:
         assert graph.live_producers(Kitchen.from_nodes([])) == {}
         assert graph.live_producers(kitchen) == first
         assert graph == build_graph(list(graph.units))
+
+
+def test_forward_chain_fires_the_earliest_ready_unit_first():
+    a, b, c, d, e, x, y = (obj(label) for label in "abcdexy")
+    units = [
+        unit([c], "m0", [d]),
+        unit([a], "m1", [b]),
+        unit([b], "m2", [c]),
+        unit([x], "m3", [y]),  # 3 and 4 feed only each other
+        unit([y], "m4", [x]),
+        unit([a], "m5", [e]),
+    ]
+    available = {a.key}
+    # Unit 0 becomes ready after unit 2 fires and still goes before unit 5.
+    assert forward_chain(units, available) == [1, 2, 0, 5]
+    assert available == {n.key for n in (a, b, c, d, e)}
+    assert forward_chain(units, available) == [0, 1, 2, 5]
+    assert forward_chain(units, set()) == []
 
 
 class TestReachableOracle:

@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -331,6 +334,29 @@ class TestMotionRates:
     def test_apply_sets_rates_by_normalized_label(self, sample_unit):
         units = apply_motion_rates([sample_unit], {"scoop and pour": 0.25})
         assert units[0].motion.success_rate == 0.25
+
+    def test_apply_normalizes_the_rate_labels(self, sample_unit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            units = apply_motion_rates([sample_unit], {"Scoop  and Pour": 0.25})
+        assert units[0].motion.success_rate == 0.25
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"  ": 0.5}', "motion label is empty after normalization"),
+            ('{"Pour": 1.5}', "success rate 1.5 outside [0, 1]"),
+            # Too large for a float: range-checked before any conversion.
+            ('{"Pour": 1' + "0" * 400 + "}", "outside [0, 1]"),
+        ],
+        ids=["empty-label", "rate-above-one", "rate-beyond-float"],
+    )
+    def test_motion_errors_name_the_label(self, text, message):
+        label = next(iter(json.loads(text)))
+        with pytest.raises(SchemaError) as info:
+            parse_motion_rates(text)
+        assert message in str(info.value)
+        assert repr(label) in str(info.value)
 
 
 CANONICAL_SAMPLE = SAMPLE_UNIT_TEXT.replace("0 ", "O ")
