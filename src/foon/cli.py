@@ -9,7 +9,8 @@ documents, optionally motion success rates):
               goal-by-algorithm summary of functional-unit counts.
 
 Exit codes: 0 all goals solved, 1 usage, input or write error, 2 at least
-one goal unsolved.
+one goal unsolved. A failed tree or DOT write is recorded in its report
+row and the run goes on; the exit code is still 1.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import hashlib
 import json
 import re
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .core import FoonError, FoonGraph, Kitchen, ObjectNode, build_graph
 from .parsing import (
     ERROR,
+    FoonWarning,
     apply_motion_rates,
     export_dot,
     parse_foon_text,
@@ -33,7 +36,7 @@ from .parsing import (
     parse_motion_rates,
     serialize_task_tree,
 )
-from .search import ALGORITHMS, SOLVED, run_algorithm
+from .search import ALGORITHMS, DEFAULT_MAX_DEPTH, SOLVED, run_algorithm
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,7 @@ class ReportRow:
     functional_unit_count: int | None
     nodes_expanded: int
     elapsed_seconds: float
+    error: str | None
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -89,6 +93,16 @@ def _read_text(path: str, what: str) -> str:
         raise FoonError(f"cannot read {what} file {path}: {exc}") from exc
 
 
+def _report_warnings(path: str, call, *call_args):
+    """Return ``call(*call_args)``, printing its warnings as ``<path>: warning: ...``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", FoonWarning)
+        result = call(*call_args)
+    for caught_warning in caught:
+        print(f"{path}: warning: {caught_warning.message}", file=sys.stderr)
+    return result
+
+
 def load_inputs(args) -> tuple[FoonGraph, Kitchen, list[ObjectNode]]:
     """Parse and assemble all input files, raising FoonError on any problem."""
     foon_text = _read_text(args.foon, "FOON")
@@ -100,11 +114,11 @@ def load_inputs(args) -> tuple[FoonGraph, Kitchen, list[ObjectNode]]:
 
     if args.motion_rates:
         rates = parse_motion_rates(_read_text(args.motion_rates, "motion rates"))
-        units = apply_motion_rates(units, rates)
+        units = _report_warnings(args.motion_rates, apply_motion_rates, units, rates)
 
     graph = build_graph(units)
     kitchen = parse_kitchen(_read_text(args.kitchen, "kitchen"))
-    goals = parse_goals(_read_text(args.goals, "goals"))
+    goals = _report_warnings(args.goals, parse_goals, _read_text(args.goals, "goals"))
     return graph, kitchen, goals
 
 
@@ -121,13 +135,19 @@ def _run_goals(args, algorithms) -> list[ReportRow]:
             # Searches return only validated trees; they are written as is.
             outcome = run_algorithm(algorithm, graph, kitchen, goal, args.max_depth)
             tree = outcome.tree
+            error = None
             if tree is not None:
                 # Appended, not Path.with_suffix, which would cut a dotted
                 # label such as "1.5 cup" at its first dot.
                 stem = f"{slug}_{algorithm}"
-                _write_text(out_dir / f"{stem}.txt", serialize_task_tree(tree))
-                if args.emit_dot:
-                    _write_text(out_dir / f"{stem}.dot", export_dot(tree))
+                # A failed write is this row's error; the run goes on.
+                try:
+                    _write_text(out_dir / f"{stem}.txt", serialize_task_tree(tree))
+                    if args.emit_dot:
+                        _write_text(out_dir / f"{stem}.dot", export_dot(tree))
+                except FoonError as exc:
+                    error = str(exc)
+                    print(f"error: {error}", file=sys.stderr)
             rows.append(
                 ReportRow(
                     goal_label=goal.label,
@@ -136,6 +156,7 @@ def _run_goals(args, algorithms) -> list[ReportRow]:
                     functional_unit_count=None if tree is None else len(tree.steps),
                     nodes_expanded=outcome.stats.nodes_expanded,
                     elapsed_seconds=outcome.stats.elapsed_seconds,
+                    error=error,
                 )
             )
     return rows
@@ -199,7 +220,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-depth",
         type=int,
-        default=100,
+        default=DEFAULT_MAX_DEPTH,
         help="iterative-deepening depth cap; far above any desk-scale recipe "
         "chain (default: %(default)s)",
     )
@@ -269,6 +290,8 @@ def main(argv=None) -> int:
             _write_report(rows, args.report)
     except FoonError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if any(row.error for row in rows):
         return 1
     return 0 if all(row.status == SOLVED for row in rows) else 2
 

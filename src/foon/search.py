@@ -4,11 +4,12 @@ Both algorithms chain backward from the goal node: they repeatedly pick a
 functional unit that outputs a needed item and then go looking for that
 unit's inputs, until everything bottoms out in the kitchen.
 
-Iterative deepening runs a depth-limited resolver with bounds 0, 1, 2, ...
-and backtracks across alternative producers, so it succeeds exactly on the
+Iterative deepening (:func:`ids_search`, its one entry point) runs
+depth-limited passes with bounds 0, 1, 2, ... in one resolver loop and
+backtracks across alternative producers, so it succeeds exactly on the
 instances where the goal is reachable at all (up to the configured bound).
-It tries only producers the kitchen can feed, restarts each bound where
-the previous one first ran out of depth, and keeps an explicit stack, so
+It tries only producers the kitchen can feed, starts each bound where the
+previous one first ran out of depth, and keeps an explicit stack, so
 neither dead producers nor replayed prefixes cost time and depth is
 limited only by the bound. Greedy best-first keeps a FIFO frontier of items
 to produce and commits to one producer per item, chosen by a heuristic,
@@ -149,167 +150,129 @@ def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None
     return tree
 
 
-class _PassState:
-    """Where a depth-limited pass stands: its frame stack and partial result.
+def _deepen(
+    live: dict[NodeKey, tuple[FunctionalUnit, ...]],
+    kitchen_keys: frozenset[NodeKey],
+    goal: NodeKey,
+    max_depth: int,
+) -> tuple[list[FunctionalUnit] | None, int, int]:
+    """Run the depth-limited passes with bounds 0, 1, ... up to ``max_depth``.
+
+    Returns ``(discovery, bound, calls)``: the goal-first discovery list of
+    the first pass that resolves the goal (None when none does), that
+    pass's bound (``max_depth`` when none does) and the number of resolver
+    calls made.
 
     Frame ``i`` of the stack is the resolution of ``keys[i]`` at depth
     ``i``: it is trying producer ``units[i][unit_pos[i]]`` and has resolved
     that unit's inputs before ``input_pos[i]``; ``discovery_marks[i]`` and
     ``trail_marks[i]`` are the lengths to roll back to if the unit fails.
     The pending resolver call is the top frame's next input, or the goal
-    when the stack is empty. The stack is kept as parallel lists so that a
-    copy is a few slices.
+    when the stack is empty. Just before a pass's first cutoff the stack
+    and the pass's partial result are copied; when the pass fails, the
+    next bound starts from that copy.
     """
-
-    __slots__ = (
-        "keys", "units", "unit_pos", "input_pos", "discovery_marks",
-        "trail_marks", "resolved", "trail", "discovery", "on_path",
-    )
-
-    def __init__(self):
-        self.keys: list[NodeKey] = []
-        self.units: list[tuple[FunctionalUnit, ...]] = []
-        self.unit_pos: list[int] = []
-        self.input_pos: list[int] = []
-        self.discovery_marks: list[int] = []
-        self.trail_marks: list[int] = []
-        self.resolved: set[NodeKey] = set()
-        self.trail: list[NodeKey] = []
-        self.discovery: list[FunctionalUnit] = []
-        self.on_path: set[NodeKey] = set()
-
-    def copy(self) -> "_PassState":
-        twin = _PassState.__new__(_PassState)
-        for name in self.__slots__:
-            setattr(twin, name, getattr(self, name).copy())
-        return twin
-
-
-def _resolve(
-    live: dict[NodeKey, tuple[FunctionalUnit, ...]],
-    kitchen_keys: frozenset[NodeKey],
-    goal: NodeKey,
-    bound: int,
-    state: _PassState,
-) -> tuple[bool, _PassState | None, int]:
-    """Run one depth-limited pass onward from ``state``, which it mutates.
-
-    Returns ``(found, snapshot, calls)``: whether the goal resolved, a copy
-    of the state taken just before the pass's first cutoff (None when the
-    depth never ran out), and the number of resolver calls made.
-    """
-    keys, units, unit_pos, input_pos = (
-        state.keys, state.units, state.unit_pos, state.input_pos
-    )
-    discovery_marks, trail_marks = state.discovery_marks, state.trail_marks
-    resolved, trail, discovery, on_path = (
-        state.resolved, state.trail, state.discovery, state.on_path
-    )
-    snapshot = None
+    keys: list[NodeKey] = []
+    units: list[tuple[FunctionalUnit, ...]] = []
+    unit_pos: list[int] = []
+    input_pos: list[int] = []
+    discovery_marks: list[int] = []
+    trail_marks: list[int] = []
+    resolved: set[NodeKey] = set()
+    trail: list[NodeKey] = []
+    discovery: list[FunctionalUnit] = []
+    on_path: set[NodeKey] = set()
     calls = 0
-    # ok is the result of the call that just returned, or None while a call
-    # is pending. A frame that starts a unit sets its input_pos to -1 and ok
-    # to True, so the next step moves on to the unit's first input.
-    ok = None
-    while True:
-        if ok is None:
-            depth = len(keys)
-            key = units[-1][unit_pos[-1]].input_keys[input_pos[-1]] if depth else goal
-            calls += 1
-            if depth >= bound:
-                if snapshot is None:
-                    snapshot = state.copy()
-                ok = False
-            elif key in kitchen_keys or key in resolved:
-                ok = True
-            elif key in on_path or key not in live:
-                ok = False
-            else:
-                producers = live[key]
-                on_path.add(key)
-                keys.append(key)
-                units.append(producers)
-                unit_pos.append(0)
-                input_pos.append(-1)
-                discovery_marks.append(len(discovery))
-                trail_marks.append(len(trail))
-                discovery.append(producers[0])
-                ok = True
+    for bound in range(max_depth + 1):
+        snapshot = None
+        # ok is the result of the call that just returned, or None while a
+        # call is pending. A frame that starts a unit sets its input_pos to
+        # -1 and ok to True, so the next step moves on to the unit's first
+        # input.
+        ok = None
+        while True:
+            if ok is None:
+                depth = len(keys)
+                key = units[-1][unit_pos[-1]].input_keys[input_pos[-1]] if depth else goal
+                calls += 1
+                if depth >= bound:
+                    if snapshot is None:
+                        snapshot = [held.copy() for held in (
+                            keys, units, unit_pos, input_pos, discovery_marks,
+                            trail_marks, resolved, trail, discovery, on_path,
+                        )]
+                    ok = False
+                elif key in kitchen_keys or key in resolved:
+                    ok = True
+                elif key in on_path or key not in live:
+                    ok = False
+                else:
+                    producers = live[key]
+                    on_path.add(key)
+                    keys.append(key)
+                    units.append(producers)
+                    unit_pos.append(0)
+                    input_pos.append(-1)
+                    discovery_marks.append(len(discovery))
+                    trail_marks.append(len(trail))
+                    discovery.append(producers[0])
+                    ok = True
+                    continue
+            if not keys:
+                break
+
+            if ok:
+                unit = units[-1][unit_pos[-1]]
+                input_pos[-1] += 1
+                if input_pos[-1] < len(unit.input_keys):
+                    ok = None
+                    continue
+                for out in unit.output_keys:
+                    if out not in resolved:
+                        resolved.add(out)
+                        trail.append(out)
+                on_path.discard(keys.pop())
+                units.pop()
+                unit_pos.pop()
+                input_pos.pop()
+                discovery_marks.pop()
+                trail_marks.pop()
                 continue
-        if not keys:
-            return ok, snapshot, calls
+
+            # A frame whose last producer failed fails too, and so fails its
+            # parent's unit: unwind in one step to the nearest frame that
+            # still has a producer to try, rolling back to that frame's
+            # marks. When no frame has one the pass fails, and its state is
+            # about to be replaced, so nothing is rolled back.
+            top = len(keys) - 1
+            while top >= 0 and unit_pos[top] + 1 == len(units[top]):
+                top -= 1
+            if top < 0:
+                break
+            del discovery[discovery_marks[top]:]
+            mark = trail_marks[top]
+            if len(trail) > mark:
+                resolved.difference_update(trail[mark:])
+                del trail[mark:]
+            on_path.difference_update(keys[top + 1:])
+            for frames in (keys, units, unit_pos, input_pos, discovery_marks, trail_marks):
+                del frames[top + 1:]
+            unit_pos[top] += 1
+            discovery.append(units[top][unit_pos[top]])
+            input_pos[top] = -1
+            ok = True
 
         if ok:
-            unit = units[-1][unit_pos[-1]]
-            input_pos[-1] += 1
-            if input_pos[-1] < len(unit.input_keys):
-                ok = None
-                continue
-            for out in unit.output_keys:
-                if out not in resolved:
-                    resolved.add(out)
-                    trail.append(out)
-            on_path.discard(keys.pop())
-            units.pop()
-            unit_pos.pop()
-            input_pos.pop()
-            discovery_marks.pop()
-            trail_marks.pop()
-            continue
-
-        # A frame whose last producer failed fails too, and so fails its
-        # parent's unit: unwind in one step to the nearest frame that still
-        # has a producer to try, rolling back to that frame's marks.
-        top = len(keys) - 1
-        while top >= 0 and unit_pos[top] + 1 == len(units[top]):
-            top -= 1
-        low = max(top, 0)
-        del discovery[discovery_marks[low]:]
-        mark = trail_marks[low]
-        if len(trail) > mark:
-            resolved.difference_update(trail[mark:])
-            del trail[mark:]
-        on_path.difference_update(keys[top + 1:])
-        for frames in (keys, units, unit_pos, input_pos, discovery_marks, trail_marks):
-            del frames[top + 1:]
-        if top < 0:
-            return False, snapshot, calls
-        unit_pos[top] += 1
-        discovery.append(units[top][unit_pos[top]])
-        input_pos[top] = -1
-        ok = True
-
-
-def depth_limited_search(
-    graph: FoonGraph, kitchen: Kitchen, goal_key: NodeKey, bound: int
-) -> tuple[bool, bool, list[FunctionalUnit], int]:
-    """One depth-limited backward resolution pass.
-
-    Returns ``(found, cutoff, discovery, calls)`` where ``cutoff`` records
-    whether any branch failed purely because the depth ran out (so a larger
-    bound could behave differently), ``discovery`` lists the accepted units
-    goal-first, and ``calls`` counts resolver invocations.
-
-    Resolution of one item: fail when the remaining depth is below 1; then
-    succeed when the item is in the kitchen or already resolved; otherwise
-    try each producing unit in ascending unit-index order, resolving every
-    input one level deeper. A unit whose inputs all resolve is accepted and
-    its outputs become available to the rest of the pass; on failure its
-    partial discoveries are rolled back and the next producer is tried.
-    Items already being resolved further up the stack fail immediately,
-    which bounds the search on cyclic graphs without changing what any
-    bound can solve.
-
-    Only producers the kitchen can feed (:meth:`FoonGraph.live_producers`)
-    are tried. The others fail at every bound and leave nothing behind, so
-    skipping them changes neither ``found`` nor ``discovery``; it only drops
-    their calls and any cutoff they alone would have hit.
-    """
-    state = _PassState()
-    found, snapshot, calls = _resolve(
-        graph.live_producers(kitchen), kitchen.keys, goal_key, bound, state
-    )
-    return found, snapshot is not None, state.discovery, calls
+            return discovery, bound, calls
+        if snapshot is None:
+            raise RuntimeError(
+                f"internal error: reachable goal failed without a cutoff: {goal}"
+            )
+        (
+            keys, units, unit_pos, input_pos, discovery_marks,
+            trail_marks, resolved, trail, discovery, on_path,
+        ) = snapshot
+    return None, max_depth, calls
 
 
 def ids_search(
@@ -320,13 +283,25 @@ def ids_search(
 ) -> SearchOutcome:
     """Retrieve a task tree by iterative deepening.
 
-    Runs the passes of :func:`depth_limited_search` with bounds 0, 1, ...
-    up to ``config.max_depth`` and stops at the first that succeeds, or
-    reports ``depth_exhausted`` when every bound was tried. A goal that is
-    neither in the kitchen nor output by a producer the kitchen can feed
-    is ``unsolvable`` before any pass runs (``final_depth_bound`` None);
-    every other goal is reachable, and some bound solves it. On success
-    the returned tree validates against the same kitchen.
+    Runs depth-limited passes with bounds 0, 1, ... up to
+    ``config.max_depth`` and stops at the first that succeeds, or reports
+    ``depth_exhausted`` when every bound was tried. A goal that is neither
+    in the kitchen nor output by a producer the kitchen can feed is
+    ``unsolvable`` before any pass runs (``final_depth_bound`` None); every
+    other goal is reachable, and some bound solves it. On success the
+    returned tree validates against the same kitchen.
+
+    Resolution of one item in a pass: fail when the remaining depth is
+    below 1; then succeed when the item is in the kitchen or already
+    resolved; otherwise try each producing unit in ascending unit-index
+    order, resolving every input one level deeper. A unit whose inputs all
+    resolve is accepted and its outputs become available to the rest of
+    the pass; on failure its partial discoveries are rolled back and the
+    next producer is tried. Items already being resolved further up the
+    stack fail immediately, which bounds the search on cyclic graphs
+    without changing what any bound can solve. Only producers the kitchen
+    can feed (:meth:`FoonGraph.live_producers`) are tried: the others fail
+    at every bound and leave nothing behind.
 
     Each pass after the first starts where its predecessor first ran out
     of depth: up to that call no depth test had fired, so a deeper pass
@@ -342,8 +317,6 @@ def ids_search(
     tree: TaskTree | None = None
     status = DEPTH_EXHAUSTED
     reason: str | None = None
-    final_bound: int | None = config.max_depth
-    total_calls = 0
     live = graph.live_producers(kitchen)
     if goal_key not in kitchen and goal_key not in live:
         status = UNSOLVABLE
@@ -351,28 +324,20 @@ def ids_search(
             reason = f"goal has no producers and is not in the kitchen: {goal_key}"
         else:
             reason = f"goal is unreachable from the kitchen: {goal_key}"
-        final_bound = None
+        final_bound, calls = None, 0
     else:
-        state = _PassState()
-        for bound in range(config.max_depth + 1):
-            found, snapshot, calls = _resolve(live, kitchen.keys, goal_key, bound, state)
-            total_calls += calls
-            if found:
-                tree = finalize_tree(state.discovery, goal_key, kitchen)
-                if tree is None:
-                    raise RuntimeError("internal error: accepted units form a cycle")
-                status = SOLVED
-                final_bound = bound
-                break
-            if snapshot is None:
-                raise RuntimeError(
-                    f"internal error: reachable goal failed without a cutoff: {goal_key}"
-                )
-            state = snapshot
+        discovery, final_bound, calls = _deepen(
+            live, kitchen.keys, goal_key, config.max_depth
+        )
+        if discovery is not None:
+            tree = finalize_tree(discovery, goal_key, kitchen)
+            if tree is None:
+                raise RuntimeError("internal error: accepted units form a cycle")
+            status = SOLVED
 
     elapsed = time.perf_counter() - start
     stats = SearchStats(
-        nodes_expanded=total_calls,
+        nodes_expanded=calls,
         final_depth_bound=final_bound,
         elapsed_seconds=elapsed,
     )

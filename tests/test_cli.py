@@ -31,6 +31,11 @@ S full
 """
 DOTTED_GOALS = '[{"label": "1.5 cup", "states": ["full"]}]'
 CHAIN_GOALS = '[{"label": "item 400", "states": ["raw"]}]'
+# The demo goal and the crushed ice on the way to it.
+TWO_GOALS = (
+    '[{"label": "drinking glass", "states": ["contains {ice,water}"]},'
+    ' {"label": "ice", "states": ["crushed", "frozen", "in [bowl]"]}]'
+)
 # Two goals labelled "b" and one labelled "b 2", all made from the pitcher.
 SLUG_FOON = "".join(
     f"//\nO pitcher\nS contains {{water}}\nM pour\nO {label}\nS {state}\n"
@@ -159,11 +164,7 @@ class TestRun:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_jobs_flag_does_not_change_outputs(self, tmp_path):
-        goals = (
-            '[{"label": "drinking glass", "states": ["contains {ice,water}"]},'
-            ' {"label": "ice", "states": ["crushed", "frozen", "in [bowl]"]}]'
-        )
-        paths = write_demo_dataset(tmp_path / "dataset", goals_text=goals)
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=TWO_GOALS)
         serial, threaded = tmp_path / "serial", tmp_path / "threaded"
         assert run_cli(paths, serial, "--jobs", "1") == 0
         assert run_cli(paths, threaded, "--jobs", "2") == 0
@@ -272,16 +273,28 @@ class TestRun:
         slugs = {slugify(LONG_LABEL + end) for end in ("a", "b")}
         assert len(slugs) == 2 and {len(s) for s in slugs} == {200}
 
-    def test_unwritable_tree_file_exits_one_without_traceback(
-        self, demo_dataset, tmp_path, capsys
-    ):
+    def test_unwritable_tree_file_exits_one_without_traceback(self, tmp_path, capsys):
         # A directory where the IDS tree file should go makes its write fail.
+        # The failure is that row's error: every other pair is still
+        # searched and written, and the table and report still appear.
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=TWO_GOALS)
         out_dir = tmp_path / "out"
         (out_dir / "drinking_glass_ids.txt").mkdir(parents=True)
-        assert run_cli(demo_dataset, out_dir) == 1
-        err = capsys.readouterr().err
+        report = tmp_path / "report.json"
+        assert run_cli(paths, out_dir, "--report", str(report)) == 1
+        out, err = capsys.readouterr()
         assert "error: cannot write" in err
         assert "Traceback" not in err
+        assert out.startswith("goal")
+        names = {p.name for p in out_dir.iterdir()}
+        assert {"ice_ids.txt", "ice_gbfs_a.txt", "ice_gbfs_b.txt"} <= names
+        assert {"drinking_glass_gbfs_a.txt", "drinking_glass_gbfs_b.txt"} <= names
+        rows = json.loads(report.read_text())["rows"]
+        assert len(rows) == 2 * 3
+        assert [row["error"] for row in rows] == [
+            f"cannot write {out_dir / 'drinking_glass_ids.txt'}: Is a directory",
+            *[None] * 5,
+        ]
 
     def test_out_dir_that_is_a_file_exits_one_without_traceback(
         self, demo_dataset, tmp_path, capsys
@@ -319,19 +332,44 @@ class TestRun:
         assert "cannot read" in capsys.readouterr().err
 
 
-def run_foon_process(*args):
+def run_foon_process(*args, python_flags=()):
     """Run the CLI in its own process; returns (exit code, stderr)."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-m", "foon.cli", *args],
+        [sys.executable, *python_flags, "-m", "foon.cli", *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
     return result.returncode, result.stderr
+
+
+class TestInputWarnings:
+    """An input warning names its file, as FOON text diagnostics do."""
+
+    @pytest.mark.parametrize("python_flags", [(), ("-W", "error")])
+    def test_warnings_name_their_file(self, tmp_path, python_flags):
+        goal = '{"label": "drinking glass", "states": ["contains {ice,water}"]}'
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=f"[{goal}, {goal}]")
+        paths["rates"].write_text('{"crush": 0.8, "pour": 0.95}\n')
+        code, err = run_foon_process(
+            "run",
+            "--foon", str(paths["foon"]),
+            "--kitchen", str(paths["kitchen"]),
+            "--goals", str(paths["goals"]),
+            "--motion-rates", str(paths["rates"]),
+            "--out-dir", str(tmp_path / "out"),
+            python_flags=python_flags,
+        )
+        assert code == 0
+        assert err.splitlines() == [
+            f"{paths['rates']}: warning: no success rate for motion 'scoop and pour';"
+            " defaulting to 1.0",
+            f"{paths['goals']}: warning: duplicate goal 'drinking glass'",
+        ]
 
 
 class TestUsageErrors:

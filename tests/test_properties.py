@@ -10,9 +10,9 @@ from foon import (
     Kitchen,
     MotionNode,
     ObjectNode,
+    SearchConfig,
     StateDescriptor,
     build_graph,
-    depth_limited_search,
     export_dot,
     heuristic_select,
     ids_search,
@@ -180,17 +180,18 @@ def test_dot_export_is_deterministic(instance):
 
 @settings(max_examples=40, deadline=None)
 @given(instances)
-def test_depth_limited_success_is_monotone_in_the_bound(instance):
+def test_success_is_monotone_in_max_depth(instance):
+    # Raising max_depth above the first successful bound changes nothing.
     outcome = ids_search(instance.graph, instance.kitchen, instance.goal)
     if not outcome.solved:
         return
     first_bound = outcome.stats.final_depth_bound
-    goal_key = node_key(instance.goal)
-    for bound in (first_bound, first_bound + 1, first_bound + 7):
-        found, _, _, _ = depth_limited_search(
-            instance.graph, instance.kitchen, goal_key, bound
+    for max_depth in (first_bound, first_bound + 1, first_bound + 7):
+        deeper = ids_search(
+            instance.graph, instance.kitchen, instance.goal, SearchConfig(max_depth)
         )
-        assert found
+        assert deeper.stats.final_depth_bound == first_bound
+        assert deeper.tree == outcome.tree
 
 
 @settings(deadline=None)
