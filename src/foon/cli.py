@@ -10,7 +10,8 @@ documents, optionally motion success rates):
 
 Exit codes: 0 all goals solved, 1 usage, input or write error, 2 at least
 one goal unsolved. A failed tree or DOT write is recorded in its report
-row and the run goes on; the exit code is still 1.
+row (and reads ``error`` in the table) and the run goes on; the exit code
+is still 1.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def format_table(rows: list[ReportRow]) -> str:
         (
             row.goal_label,
             row.algorithm,
-            row.status,
+            "error" if row.error else row.status,
             "-" if row.functional_unit_count is None else str(row.functional_unit_count),
             str(row.nodes_expanded),
             f"{row.elapsed_seconds * 1000:.1f}",
@@ -188,19 +189,23 @@ def format_table(rows: list[ReportRow]) -> str:
 
 
 def format_pivot(rows: list[ReportRow]) -> str:
-    """Goal-by-algorithm table of functional-unit counts ('-' on failure)."""
-    goals: list[str] = []
-    counts: dict[tuple[str, str], str] = {}
+    """Goal-by-algorithm table of functional-unit counts, one row per goal
+    entry in goal order ('-' when the search or the tree write failed).
+
+    Rows come goal by goal, so a goal entry ends where the label changes or
+    an algorithm repeats: two goals that share a label keep a row each.
+    """
+    entries: list[tuple[str, dict[str, str]]] = []
     for row in rows:
-        if row.goal_label not in goals:
-            goals.append(row.goal_label)
-        value = "-" if row.functional_unit_count is None else str(row.functional_unit_count)
-        counts[(row.goal_label, row.algorithm)] = value
+        if not entries or entries[-1][0] != row.goal_label or row.algorithm in entries[-1][1]:
+            entries.append((row.goal_label, {}))
+        failed = row.functional_unit_count is None or row.error
+        entries[-1][1][row.algorithm] = "-" if failed else str(row.functional_unit_count)
 
     headers = ("goal", *ALGORITHMS)
     cells = [
-        (goal,) + tuple(counts.get((goal, algo), "-") for algo in ALGORITHMS)
-        for goal in goals
+        (goal,) + tuple(counts.get(algo, "-") for algo in ALGORITHMS)
+        for goal, counts in entries
     ]
     return _render_columns(headers, cells)
 

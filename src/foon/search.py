@@ -8,12 +8,16 @@ Iterative deepening (:func:`ids_search`, its one entry point) runs
 depth-limited passes with bounds 0, 1, 2, ... in one resolver loop and
 backtracks across alternative producers, so it succeeds exactly on the
 instances where the goal is reachable at all (up to the configured bound).
-It tries only producers the kitchen can feed, starts each bound where the
-previous one first ran out of depth, and keeps an explicit stack, so
-neither dead producers nor replayed prefixes cost time and depth is
-limited only by the bound. Greedy best-first keeps a FIFO frontier of items
-to produce and commits to one producer per item, chosen by a heuristic,
-with no backtracking; a bad greedy commitment is reported as a failure.
+It tries only producers the kitchen can feed and keeps an explicit stack,
+so dead producers cost nothing and depth is limited only by the bound.
+As in a Prolog machine, a stack of choice points (the frames with an
+untried producer) makes each failure unwind in one step, and an undo log
+kept from a bound's first cutoff takes a failed bound back to that cutoff,
+where the next bound starts: a bound costs only the work done since the
+previous bound's first cutoff, so an n-unit chain takes time linear in n.
+Greedy best-first keeps a FIFO frontier of items to produce and commits to
+one producer per item, chosen by a heuristic, with no backtracking; a bad
+greedy commitment is reported as a failure.
 
 Heuristics: ``success_rate`` prefers the unit whose motion has the highest
 success rate, ``input_count`` the unit with the fewest inputs; ties go to
@@ -150,6 +154,14 @@ def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None
     return tree
 
 
+# Undo-log entries that carry no data; a frame pop and an unwind log tuples
+# tagged _POP and _UNWIND.
+_PUSH = ("push",)
+_ADVANCE = ("advance",)
+_POP = "pop"
+_UNWIND = "unwind"
+
+
 def _deepen(
     live: dict[NodeKey, tuple[FunctionalUnit, ...]],
     kitchen_keys: frozenset[NodeKey],
@@ -168,9 +180,16 @@ def _deepen(
     that unit's inputs before ``input_pos[i]``; ``discovery_marks[i]`` and
     ``trail_marks[i]`` are the lengths to roll back to if the unit fails.
     The pending resolver call is the top frame's next input, or the goal
-    when the stack is empty. Just before a pass's first cutoff the stack
-    and the pass's partial result are copied; when the pass fails, the
-    next bound starts from that copy.
+    when the stack is empty.
+
+    ``choices`` holds, in stack order, the indices of the frames that still
+    have an untried producer (the choice points), so a failure unwinds in
+    one step to the nearest of them, and the pass fails when there is none.
+    From a pass's first cutoff on, every change to the state is logged, as
+    its inverse, in ``undo``; when the pass fails, replaying that log
+    backwards restores the state of the cutoff, and the next bound starts
+    from there. A bound therefore costs only the work done since the
+    previous bound's first cutoff.
     """
     keys: list[NodeKey] = []
     units: list[tuple[FunctionalUnit, ...]] = []
@@ -178,13 +197,16 @@ def _deepen(
     input_pos: list[int] = []
     discovery_marks: list[int] = []
     trail_marks: list[int] = []
+    choices: list[int] = []
     resolved: set[NodeKey] = set()
     trail: list[NodeKey] = []
     discovery: list[FunctionalUnit] = []
     on_path: set[NodeKey] = set()
     calls = 0
     for bound in range(max_depth + 1):
-        snapshot = None
+        # None until this pass's first cutoff; then the inverse of each
+        # change since, oldest first.
+        undo: list[tuple] | None = None
         # ok is the result of the call that just returned, or None while a
         # call is pending. A frame that starts a unit sets its input_pos to
         # -1 and ok to True, so the next step moves on to the unit's first
@@ -196,11 +218,8 @@ def _deepen(
                 key = units[-1][unit_pos[-1]].input_keys[input_pos[-1]] if depth else goal
                 calls += 1
                 if depth >= bound:
-                    if snapshot is None:
-                        snapshot = [held.copy() for held in (
-                            keys, units, unit_pos, input_pos, discovery_marks,
-                            trail_marks, resolved, trail, discovery, on_path,
-                        )]
+                    if undo is None:
+                        undo = []
                     ok = False
                 elif key in kitchen_keys or key in resolved:
                     ok = True
@@ -216,6 +235,10 @@ def _deepen(
                     discovery_marks.append(len(discovery))
                     trail_marks.append(len(trail))
                     discovery.append(producers[0])
+                    if len(producers) > 1:
+                        choices.append(depth)
+                    if undo is not None:
+                        undo.append(_PUSH)
                     ok = True
                     continue
             if not keys:
@@ -224,54 +247,119 @@ def _deepen(
             if ok:
                 unit = units[-1][unit_pos[-1]]
                 input_pos[-1] += 1
+                if undo is not None:
+                    undo.append(_ADVANCE)
                 if input_pos[-1] < len(unit.input_keys):
                     ok = None
                     continue
+                # The top frame's unit resolved: so does its item, and the
+                # frame's other producers are never tried.
+                added = len(trail)
                 for out in unit.output_keys:
                     if out not in resolved:
                         resolved.add(out)
                         trail.append(out)
-                on_path.discard(keys.pop())
-                units.pop()
-                unit_pos.pop()
-                input_pos.pop()
-                discovery_marks.pop()
-                trail_marks.pop()
+                if choices and choices[-1] == len(keys) - 1:
+                    choices.pop()
+                if undo is None:
+                    on_path.discard(keys.pop())
+                    units.pop()
+                    unit_pos.pop()
+                    input_pos.pop()
+                    discovery_marks.pop()
+                    trail_marks.pop()
+                else:
+                    key = keys.pop()
+                    on_path.discard(key)
+                    undo.append((
+                        _POP, key, units.pop(), unit_pos.pop(), input_pos.pop(),
+                        discovery_marks.pop(), trail_marks.pop(), len(trail) - added,
+                    ))
                 continue
 
             # A frame whose last producer failed fails too, and so fails its
-            # parent's unit: unwind in one step to the nearest frame that
-            # still has a producer to try, rolling back to that frame's
-            # marks. When no frame has one the pass fails, and its state is
-            # about to be replaced, so nothing is rolled back.
-            top = len(keys) - 1
-            while top >= 0 and unit_pos[top] + 1 == len(units[top]):
-                top -= 1
-            if top < 0:
+            # parent's unit: unwind in one step to the nearest choice point,
+            # rolling back to that frame's marks, and try its next producer.
+            if not choices:
                 break
-            del discovery[discovery_marks[top]:]
-            mark = trail_marks[top]
-            if len(trail) > mark:
-                resolved.difference_update(trail[mark:])
-                del trail[mark:]
-            on_path.difference_update(keys[top + 1:])
+            top = choices[-1]
+            cut = top + 1
+            mark = discovery_marks[top]
+            trail_mark = trail_marks[top]
+            if undo is not None:
+                undo.append((
+                    _UNWIND, top, input_pos[top], keys[cut:], units[cut:],
+                    unit_pos[cut:], input_pos[cut:], discovery_marks[cut:],
+                    trail_marks[cut:], discovery[mark:], trail[trail_mark:],
+                ))
+            del discovery[mark:]
+            if len(trail) > trail_mark:
+                resolved.difference_update(trail[trail_mark:])
+                del trail[trail_mark:]
+            on_path.difference_update(keys[cut:])
             for frames in (keys, units, unit_pos, input_pos, discovery_marks, trail_marks):
-                del frames[top + 1:]
+                del frames[cut:]
             unit_pos[top] += 1
+            if unit_pos[top] + 1 == len(units[top]):
+                choices.pop()
             discovery.append(units[top][unit_pos[top]])
             input_pos[top] = -1
             ok = True
 
         if ok:
             return discovery, bound, calls
-        if snapshot is None:
+        if undo is None:
             raise RuntimeError(
                 f"internal error: reachable goal failed without a cutoff: {goal}"
             )
-        (
-            keys, units, unit_pos, input_pos, discovery_marks,
-            trail_marks, resolved, trail, discovery, on_path,
-        ) = snapshot
+        # Back to the state of this pass's first cutoff, newest change first.
+        for entry in reversed(undo):
+            if entry is _ADVANCE:
+                input_pos[-1] -= 1
+            elif entry is _PUSH:
+                if choices and choices[-1] == len(keys) - 1:
+                    choices.pop()
+                on_path.discard(keys.pop())
+                units.pop()
+                unit_pos.pop()
+                input_pos.pop()
+                discovery_marks.pop()
+                trail_marks.pop()
+                discovery.pop()
+            elif entry[0] is _POP:
+                _, key, producers, pos, at, mark, trail_mark, added = entry
+                if added:
+                    resolved.difference_update(trail[-added:])
+                    del trail[-added:]
+                if pos + 1 < len(producers):
+                    choices.append(len(keys))
+                on_path.add(key)
+                keys.append(key)
+                units.append(producers)
+                unit_pos.append(pos)
+                input_pos.append(at)
+                discovery_marks.append(mark)
+                trail_marks.append(trail_mark)
+            else:
+                (
+                    _, top, at, cut_keys, cut_units, cut_unit_pos, cut_input_pos,
+                    cut_discovery_marks, cut_trail_marks, cut_discovery, cut_trail,
+                ) = entry
+                discovery.pop()
+                discovery.extend(cut_discovery)
+                trail.extend(cut_trail)
+                resolved.update(cut_trail)
+                on_path.update(cut_keys)
+                keys.extend(cut_keys)
+                units.extend(cut_units)
+                unit_pos.extend(cut_unit_pos)
+                input_pos.extend(cut_input_pos)
+                discovery_marks.extend(cut_discovery_marks)
+                trail_marks.extend(cut_trail_marks)
+                if not choices or choices[-1] != top:
+                    choices.append(top)
+                unit_pos[top] -= 1
+                input_pos[top] = at
     return None, max_depth, calls
 
 
@@ -308,7 +396,8 @@ def ids_search(
     would replay the same steps. Steps, tree and bound are those of
     rerunning every pass from scratch; ``nodes_expanded`` counts only the
     resolver calls actually made. The resolver keeps an explicit stack, so
-    depth is limited only by ``max_depth``.
+    depth is limited only by ``max_depth``, and a pass costs only the work
+    done since the previous pass's first cutoff (see :func:`_deepen`).
     """
     config = config or SearchConfig()
     goal_key = goal.key

@@ -82,10 +82,10 @@ def _chain_foon(length):
     return "\n".join(lines) + "\n"
 
 
-def run_cli(paths, out_dir, *extra):
+def run_cli(paths, out_dir, *extra, command="run"):
     return main(
         [
-            "run",
+            command,
             "--foon", str(paths["foon"]),
             "--kitchen", str(paths["kitchen"]),
             "--goals", str(paths["goals"]),
@@ -286,6 +286,10 @@ class TestRun:
         assert "error: cannot write" in err
         assert "Traceback" not in err
         assert out.startswith("goal")
+        ids_line = next(
+            line for line in out.splitlines() if line.startswith("drinking glass  ids")
+        )
+        assert ids_line.split()[3] == "error"
         names = {p.name for p in out_dir.iterdir()}
         assert {"ice_ids.txt", "ice_gbfs_a.txt", "ice_gbfs_b.txt"} <= names
         assert {"drinking_glass_gbfs_a.txt", "drinking_glass_gbfs_b.txt"} <= names
@@ -444,3 +448,26 @@ class TestBench:
         assert code == 0
         rows = json.loads(report_path.read_text())["rows"]
         assert [r["algorithm"] for r in rows] == ["ids", "gbfs_a", "gbfs_b"]
+
+    def test_bench_pivot_keeps_goals_that_share_a_label(self, tmp_path, capsys):
+        # The first "ice" has no producer; the second is the crushed ice.
+        goals = (
+            '[{"label": "ice", "states": ["solid"]},'
+            ' {"label": "ice", "states": ["crushed", "frozen", "in [bowl]"]}]'
+        )
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=goals)
+        assert run_cli(paths, tmp_path / "out", command="bench") == 2
+        pivot = capsys.readouterr().out.split("\n\n")[-1].splitlines()
+        assert [line.split() for line in pivot] == [
+            ["goal", "ids", "gbfs_a", "gbfs_b"],
+            ["ice", "-", "-", "-"],
+            ["ice", "1", "1", "1"],
+        ]
+
+    def test_bench_pivot_shows_a_failed_write_as_a_dash(self, tmp_path, capsys):
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=TWO_GOALS)
+        out_dir = tmp_path / "out"
+        (out_dir / "drinking_glass_ids.txt").mkdir(parents=True)
+        assert run_cli(paths, out_dir, command="bench") == 1
+        pivot = capsys.readouterr().out.split("\n\n")[-1].splitlines()
+        assert pivot[1].split() == ["drinking", "glass", "-", "3", "3"]

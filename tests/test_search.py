@@ -19,7 +19,9 @@ from foon import (
     reachable_oracle,
     validate_tree,
 )
+from foon.search import _deepen
 from tests.conftest import obj, unit
+from tests.deepen_reference import reference_deepen
 from tests.finalize_reference import reference_finalize
 from tests.ids_reference import reference_depth_limited_search, reference_ids_search
 from tests.randgen import random_instance
@@ -52,6 +54,22 @@ def trap(levels=40, good=16):
     units += [unit([path[i]], "step", [path[i + 1]]) for i in range(good - 1)]
     units.append(unit([path[-1]], "finish", [goal]))
     return build_graph(units), Kitchen.from_nodes(path[:1]), goal
+
+
+def detour_chain(length=60, every=10, detour=3):
+    """``item 0`` --> ... --> ``item <length>``, where every ``every``-th
+    item's first producer is a ``detour``-unit longer way round from the
+    previous item: its pass cuts off inside the detour first and then
+    backtracks into the direct step."""
+    items = [obj(f"item {i}") for i in range(length + 1)]
+    units = []
+    for i in range(1, length + 1):
+        if i % every == 0:
+            way = [items[i - 1]] + [obj(f"detour {i}.{j}") for j in range(detour)]
+            units += [unit([a], "wander", [b]) for a, b in zip(way, way[1:])]
+            units.append(unit([way[-1]], "arrive", [items[i]]))
+        units.append(unit([items[i - 1]], "cook", [items[i]]))
+    return build_graph(units), Kitchen.from_nodes(items[:1]), items[-1]
 
 
 class TestHeuristicSelect:
@@ -312,6 +330,74 @@ class TestIdsSearch:
                             exhausted_to_unsolvable += 1
                         assert not actual.solved, case
         assert solved > 10_000 and exhausted_to_unsolvable > 1_000
+
+    def test_deepen_matches_the_snapshot_reference(self):
+        """Differential check against the frozen snapshot-copy resolver.
+
+        Every goal ``ids_search`` hands to the resolver (one in the kitchen
+        or output by a live producer) on the randgen instances above, at
+        the same depth caps: the same discovery list, bound and call count.
+        """
+        compared = 0
+        for seed in range(150):
+            for kind in range(3):
+                instance = random_instance(
+                    random.Random(3 * seed + kind),
+                    acyclic=kind == 1,
+                    single_producer=kind == 2,
+                )
+                kitchen = instance.kitchen
+                live = instance.graph.live_producers(kitchen)
+                for goal in instance.pool:
+                    if goal.key not in kitchen and goal.key not in live:
+                        continue
+                    for max_depth in (1, 2, 3, 5, 100):
+                        case = (seed, kind, goal.label, max_depth)
+                        expected = reference_deepen(live, kitchen.keys, goal.key, max_depth)
+                        actual = _deepen(live, kitchen.keys, goal.key, max_depth)
+                        assert actual == expected, case
+                        compared += 1
+        assert compared > 10_000
+
+    @pytest.mark.parametrize(
+        "instance, solved_at",
+        [(long_chain(300), 301), (trap(), 17), (detour_chain(), 61)],
+        ids=["long_chain", "trap", "detour_chain"],
+    )
+    def test_deep_choice_points_match_the_snapshot_reference(self, instance, solved_at):
+        # Each cap below the solving bound fails every pass and restores
+        # the state of each pass's first cutoff; each cap from it on
+        # backtracks after cutoffs and then succeeds.
+        graph, kitchen, goal = instance
+        live = graph.live_producers(kitchen)
+        for max_depth in (solved_at // 2, solved_at - 1, solved_at, solved_at + 20):
+            expected = reference_deepen(live, kitchen.keys, goal.key, max_depth)
+            assert _deepen(live, kitchen.keys, goal.key, max_depth) == expected, max_depth
+            assert (expected[0] is not None) == (max_depth >= solved_at), max_depth
+            assert expected[1] == min(max_depth, solved_at), max_depth
+
+    def test_detour_chain_backtracks_into_the_direct_steps(self):
+        graph, kitchen, goal = detour_chain()
+        outcome = ids_search(graph, kitchen, goal)
+        assert outcome.status == SOLVED
+        assert [u.motion.label for u in outcome.tree.steps] == ["cook"] * 60
+        assert outcome.stats.final_depth_bound == 61
+
+    def test_4000_unit_chain_costs_about_what_gbfs_costs(self):
+        # Each bound costs only the work since the previous bound's first
+        # cutoff, so IDS time grows linearly with the chain; rescanning or
+        # copying the stack at every bound made it about 100x GBFS here.
+        graph, kitchen, goal = long_chain(4000)
+        config = SearchConfig(max_depth=4005)
+        ids_runs = [ids_search(graph, kitchen, goal, config) for _ in range(3)]
+        gbfs_runs = [gbfs_search(graph, kitchen, goal, config) for _ in range(3)]
+        for outcome in ids_runs:
+            assert outcome.status == SOLVED
+            assert outcome.stats.nodes_expanded == 8002
+            assert outcome.stats.final_depth_bound == 4001
+        ids_time = min(outcome.stats.elapsed_seconds for outcome in ids_runs)
+        gbfs_time = min(outcome.stats.elapsed_seconds for outcome in gbfs_runs)
+        assert ids_time < 5 * gbfs_time, (ids_time, gbfs_time)
 
 
 class TestGbfsSearch:
