@@ -29,6 +29,7 @@ from .core import FoonError, FoonGraph, Kitchen, ObjectNode, build_graph
 from .parsing import (
     ERROR,
     FoonWarning,
+    RenderMemo,
     apply_motion_rates,
     export_dot,
     parse_foon_text,
@@ -42,6 +43,10 @@ from .search import ALGORITHMS, DEFAULT_MAX_DEPTH, SOLVED, run_algorithm
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One (goal, algorithm) result. ``reason``, ``missing_key`` and
+    ``final_depth_bound`` come from the search outcome and are None where
+    the search gives none; ``error`` is a failed tree or DOT write."""
+
     goal_label: str
     algorithm: str
     status: str
@@ -49,6 +54,9 @@ class ReportRow:
     nodes_expanded: int
     elapsed_seconds: float
     error: str | None
+    reason: str | None
+    missing_key: str | None
+    final_depth_bound: int | None
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -131,6 +139,8 @@ def _run_goals(args, algorithms) -> list[ReportRow]:
     except OSError as exc:
         raise FoonError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
     rows: list[ReportRow] = []
+    # One memo for the run: each distinct node, unit and tree renders once.
+    memo = RenderMemo()
     for goal, slug in zip(goals, _assign_slugs(goals)):
         for algorithm in algorithms:
             # Searches return only validated trees; they are written as is.
@@ -143,9 +153,9 @@ def _run_goals(args, algorithms) -> list[ReportRow]:
                 stem = f"{slug}_{algorithm}"
                 # A failed write is this row's error; the run goes on.
                 try:
-                    _write_text(out_dir / f"{stem}.txt", serialize_task_tree(tree))
+                    _write_text(out_dir / f"{stem}.txt", serialize_task_tree(tree, memo))
                     if args.emit_dot:
-                        _write_text(out_dir / f"{stem}.dot", export_dot(tree))
+                        _write_text(out_dir / f"{stem}.dot", export_dot(tree, memo))
                 except FoonError as exc:
                     error = str(exc)
                     print(f"error: {error}", file=sys.stderr)
@@ -158,8 +168,13 @@ def _run_goals(args, algorithms) -> list[ReportRow]:
                     nodes_expanded=outcome.stats.nodes_expanded,
                     elapsed_seconds=outcome.stats.elapsed_seconds,
                     error=error,
+                    reason=outcome.reason,
+                    missing_key=outcome.missing_key,
+                    final_depth_bound=outcome.stats.final_depth_bound,
                 )
             )
+        # Repeated trees come from one goal's algorithms.
+        memo.forget_trees()
     return rows
 
 

@@ -171,6 +171,22 @@ class FunctionalUnit:
         object.__setattr__(self, "output_keys", output_keys)
         object.__setattr__(self, "signature", signature)
 
+    def with_motion(self, motion: MotionNode) -> "FunctionalUnit":
+        """This unit with ``motion`` in place of a motion of the same label.
+
+        Copies the fields as they are: the keys and signature cannot change
+        with the success rate, so they are not computed again.
+        """
+        if motion.label != self.motion.label:
+            raise ValueError(
+                f"motion {motion.label!r} does not match {self.motion.label!r}"
+            )
+        unit = object.__new__(FunctionalUnit)
+        for name in self.__slots__:
+            object.__setattr__(unit, name, getattr(self, name))
+        object.__setattr__(unit, "motion", motion)
+        return unit
+
 
 @dataclass(frozen=True)
 class FoonGraph:

@@ -37,7 +37,8 @@ Serialization is canonical: states sorted by (label, container),
 ingredients sorted lexicographically and attached to the first state line
 (or to a state-less ``S {a,b}`` line when the object has no states), LF
 line endings. Parsing serialized output and serializing again is
-byte-identical.
+byte-identical. A :class:`RenderMemo` passed to every call of one run makes
+each distinct node, unit and tree render once, with the same output.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import json
 import numbers
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     FoonError,
@@ -56,6 +57,7 @@ from .core import (
     InvalidNodeError,
     Kitchen,
     MotionNode,
+    NodeKey,
     ObjectNode,
     StateDescriptor,
     TaskTree,
@@ -316,7 +318,9 @@ def apply_motion_rates(
 ) -> list[FunctionalUnit]:
     """Attach success rates to motions; absent motions default to 1.0.
 
-    Rate labels are matched after :class:`MotionNode` normalizes them.
+    Rate labels are matched after :class:`MotionNode` normalizes them. A
+    unit whose motion has a rate is copied with
+    :meth:`FunctionalUnit.with_motion`, which keeps its keys and signature.
     Warns once per motion label that has no entry in the rate map.
     """
     motions = {m.label: m for m in map(MotionNode, rates, rates.values())}
@@ -325,7 +329,7 @@ def apply_motion_rates(
     for unit in units:
         label = unit.motion.label
         if label in motions:
-            unit = replace(unit, motion=motions[label])
+            unit = unit.with_motion(motions[label])
         elif label not in missing:
             missing.add(label)
             warnings.warn(
@@ -337,85 +341,156 @@ def apply_motion_rates(
     return out
 
 
+class RenderMemo:
+    """Text already rendered in one run, so each distinct piece renders once.
+
+    Pass one memo to every :func:`serialize_task_tree` and
+    :func:`export_dot` call of a run; the output is the same as without it.
+    Each map is keyed by exactly what its text depends on:
+
+    * ``nodes``: node key -> the node's O/S lines
+    * ``units``: (input keys, motion label, output keys) -> the unit's
+      block. Not the unit signature, which sorts the keys and so would merge
+      units whose objects are written in a different order.
+    * ``dot_nodes``: node key -> (DOT identifier, declaration line)
+    * ``trees``: (kind, the tree's unit keys) -> the whole ``.txt`` or
+      ``.dot`` text. :meth:`forget_trees` empties it; repeats come from one
+      goal's algorithms, so a caller may drop it after each goal.
+    """
+
+    def __init__(self):
+        self.nodes: dict[NodeKey, str] = {}
+        self.units: dict[tuple, str] = {}
+        self.dot_nodes: dict[NodeKey, tuple[str, str]] = {}
+        self.trees: dict[tuple, str] = {}
+
+    def tree_text(self, kind: str, steps, render) -> str:
+        """The ``kind`` text of ``steps``: memoized, else ``render(steps, self)``."""
+        key = (kind, *map(_unit_key, steps))
+        text = self.trees.get(key)
+        if text is None:
+            text = self.trees[key] = render(steps, self)
+        return text
+
+    def forget_trees(self) -> None:
+        """Drop the whole-tree texts and keep the node and unit pieces."""
+        self.trees.clear()
+
+
+def _unit_key(unit: FunctionalUnit) -> tuple:
+    return unit.input_keys, unit.motion.label, unit.output_keys
+
+
 def _state_text(state: StateDescriptor) -> str:
     if state.relative_container:
         return f"{state.label} [{state.relative_container}]"
     return state.label
 
 
-def _render_node(node: ObjectNode) -> list[str]:
-    # Ingredients ride on the first state line in canonical order, or on a
-    # state-less "S {a,b}" line when the node has no states.
-    payloads = [_state_text(s) for s in sorted(node.states, key=_state_sort_key)]
-    if node.ingredients:
-        ingredients = "{" + ",".join(sorted(node.ingredients)) + "}"
-        if payloads:
-            payloads[0] += " " + ingredients
-        else:
-            payloads.append(ingredients)
-    return [f"O {node.label}", *(f"S {payload}" for payload in payloads)]
+def _node_text(node: ObjectNode, memo: RenderMemo) -> str:
+    text = memo.nodes.get(node.key)
+    if text is None:
+        # Ingredients ride on the first state line in canonical order, or on
+        # a state-less "S {a,b}" line when the node has no states.
+        payloads = [_state_text(s) for s in sorted(node.states, key=_state_sort_key)]
+        if node.ingredients:
+            ingredients = "{" + ",".join(sorted(node.ingredients)) + "}"
+            if payloads:
+                payloads[0] += " " + ingredients
+            else:
+                payloads.append(ingredients)
+        lines = [f"O {node.label}", *(f"S {payload}" for payload in payloads)]
+        text = memo.nodes[node.key] = "\n".join(lines)
+    return text
 
 
-def serialize_units(units) -> str:
-    """Render functional units in the canonical text format ("" when empty)."""
-    units = list(units)
-    if not units:
-        return ""
-    lines: list[str] = []
-    for unit in units:
-        lines.append("//")
-        for node in unit.inputs:
-            lines.extend(_render_node(node))
+def _unit_text(unit: FunctionalUnit, memo: RenderMemo) -> str:
+    key = _unit_key(unit)
+    text = memo.units.get(key)
+    if text is None:
+        lines = ["//"]
+        lines.extend(_node_text(node, memo) for node in unit.inputs)
         lines.append(f"M {unit.motion.label}")
-        for node in unit.outputs:
-            lines.extend(_render_node(node))
-    lines.append("//")
-    return "\n".join(lines) + "\n"
+        lines.extend(_node_text(node, memo) for node in unit.outputs)
+        text = memo.units[key] = "\n".join(lines)
+    return text
 
 
-def serialize_task_tree(tree: TaskTree) -> str:
-    """Render a task tree's steps, execution order first to last."""
-    return serialize_units(tree.steps)
+def serialize_units(units, memo: RenderMemo | None = None) -> str:
+    """Render functional units in the canonical text format ("" when empty).
+
+    ``memo`` reuses the node and unit texts of earlier calls (see
+    :class:`RenderMemo`).
+    """
+    memo = RenderMemo() if memo is None else memo
+    blocks = [_unit_text(unit, memo) for unit in units]
+    if not blocks:
+        return ""
+    return "\n".join(blocks) + "\n//\n"
+
+
+def serialize_task_tree(tree: TaskTree, memo: RenderMemo | None = None) -> str:
+    """Render a task tree's steps, execution order first to last.
+
+    With a ``memo`` a tree already rendered in it is not rendered again.
+    """
+    if memo is None:
+        return serialize_units(tree.steps)
+    return memo.tree_text("txt", tree.steps, serialize_units)
 
 
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _object_label(node: ObjectNode) -> str:
+def _dot_node(node: ObjectNode) -> tuple[str, str]:
+    ident = "o" + hashlib.sha1(node.key.encode("utf-8")).hexdigest()[:12]
     states = ", ".join(_state_text(s) for s in sorted(node.states, key=_state_sort_key))
-    ingredients = ", ".join(sorted(node.ingredients))
-    parts = (node.label, states, "{" + ingredients + "}")
+    parts = (node.label, states, "{" + ", ".join(sorted(node.ingredients)) + "}")
     # escape first, then join with the DOT newline sequence
-    return "\\n".join(_dot_escape(part) for part in parts)
+    label = "\\n".join(_dot_escape(part) for part in parts)
+    return ident, f'  "{ident}" [shape=box, label="{label}"];'
 
 
-def export_dot(source: FoonGraph | TaskTree) -> str:
+def export_dot(source: FoonGraph | TaskTree, memo: RenderMemo | None = None) -> str:
     """Render a graph or task tree as deterministic Graphviz DOT text.
 
     Object nodes are boxes identified by their node key (so equal nodes
     merge); each unit's motion is its own ellipse. Render with any DOT
-    tool, e.g. ``dot -Tpng out.dot -O``.
+    tool, e.g. ``dot -Tpng out.dot -O``. ``memo`` reuses the node
+    declarations, and for a task tree the whole text, of earlier calls (see
+    :class:`RenderMemo`).
     """
+    if isinstance(source, TaskTree) and memo is not None:
+        return memo.tree_text("dot", source.steps, _dot_text)
     units = source.units if isinstance(source, FoonGraph) else source.steps
+    return _dot_text(units, RenderMemo() if memo is None else memo)
+
+
+def _dot_text(units, memo: RenderMemo) -> str:
     lines = ["digraph foon {"]
     declared: set[str] = set()
 
-    def declare(node: ObjectNode) -> str:
-        key = node.key
-        ident = "o" + hashlib.sha1(key.encode("utf-8")).hexdigest()[:12]
-        if key not in declared:
-            declared.add(key)
-            lines.append(f'  "{ident}" [shape=box, label="{_object_label(node)}"];')
-        return ident
+    def declare(nodes) -> list[str]:
+        idents = []
+        for node in nodes:
+            key = node.key
+            entry = memo.dot_nodes.get(key)
+            if entry is None:
+                entry = memo.dot_nodes[key] = _dot_node(node)
+            if key not in declared:
+                declared.add(key)
+                lines.append(entry[1])
+            idents.append(entry[0])
+        return idents
 
     for position, unit in enumerate(units):
         motion_id = f"m{position}"
-        input_ids = [declare(node) for node in unit.inputs]
+        input_ids = declare(unit.inputs)
         lines.append(
             f'  "{motion_id}" [shape=ellipse, label="{_dot_escape(unit.motion.label)}"];'
         )
-        output_ids = [declare(node) for node in unit.outputs]
+        output_ids = declare(unit.outputs)
         for ident in input_ids:
             lines.append(f'  "{ident}" -> "{motion_id}";')
         for ident in output_ids:

@@ -53,6 +53,40 @@ def unit(inputs, motion, outputs, index=0, rate=1.0):
     )
 
 
+def layered_units(layers=12, width=417):
+    """Deterministic layered graph: ~layers*width units, two inputs each.
+
+    Returns (units, the layer-0 nodes, the first node of the top layer).
+    """
+    def node(layer, i):
+        return ObjectNode(
+            f"item {layer} {i}", frozenset({StateDescriptor("stage", str(layer))})
+        )
+
+    units = []
+    for layer in range(1, layers + 1):
+        for i in range(width):
+            inputs = (node(layer - 1, i), node(layer - 1, (i * 7 + 3) % width))
+            units.append(
+                FunctionalUnit(
+                    inputs=inputs,
+                    motion=MotionNode(f"combine {layer % 5}"),
+                    outputs=(node(layer, i),),
+                    unit_index=len(units),
+                )
+            )
+    base = [node(0, i) for i in range(width)]
+    return units, base, node(layers, 0)
+
+
+@pytest.fixture
+def layered():
+    """A small layered graph: (graph, kitchen of layer 0, goals on every layer)."""
+    units, base, _ = layered_units(layers=6, width=30)
+    goals = [unit.outputs[0] for unit in units[::7]]
+    return build_graph(units), Kitchen.from_nodes(base), goals
+
+
 @pytest.fixture
 def sample_unit():
     units, diagnostics = parse_foon_text(SAMPLE_UNIT_TEXT)

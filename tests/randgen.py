@@ -9,8 +9,10 @@ in pool order, which rules out circular derivations; with
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 from foon import (
     FoonGraph,
@@ -20,6 +22,7 @@ from foon import (
     ObjectNode,
     StateDescriptor,
     build_graph,
+    serialize_units,
 )
 
 _STATES = ("raw", "chopped", "whole", "mixed", "empty")
@@ -92,3 +95,39 @@ def random_instance(
         goal=rng.choice(pool),
         pool=pool,
     )
+
+
+def node_record(node: ObjectNode, label: str | None = None) -> dict:
+    """A kitchen/goal JSON record of ``node``, optionally under another label."""
+    states = sorted(
+        f"{s.label} [{s.relative_container}]" if s.relative_container else s.label
+        for s in node.states
+    )
+    return {
+        "label": node.label if label is None else label,
+        "states": states,
+        "ingredients": sorted(node.ingredients),
+    }
+
+
+def write_instance(
+    instance: Instance, directory: Path, goals: list[dict], rates: dict[str, float]
+) -> dict[str, Path]:
+    """Write ``instance`` as the CLI's four input files; returns their paths.
+
+    ``goals`` are goal records (see :func:`node_record`) and ``rates`` the
+    motion success-rate map.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = {
+        "foon": directory / "foon.txt",
+        "kitchen": directory / "kitchen.json",
+        "goals": directory / "goals.json",
+        "rates": directory / "motion_rates.json",
+    }
+    kitchen = [node_record(node) for node in instance.kitchen.nodes]
+    paths["foon"].write_text(serialize_units(instance.graph.units), encoding="utf-8")
+    paths["kitchen"].write_text(json.dumps(kitchen), encoding="utf-8")
+    paths["goals"].write_text(json.dumps(goals), encoding="utf-8")
+    paths["rates"].write_text(json.dumps(rates), encoding="utf-8")
+    return paths

@@ -21,7 +21,6 @@ from foon import (
     MotionNode,
     ObjectNode,
     SearchConfig,
-    StateDescriptor,
     build_graph,
     gbfs_search,
     heuristic_select,
@@ -33,7 +32,7 @@ from foon import (
     validate_tree,
 )
 from foon.cli import main
-from tests.conftest import SAMPLE_UNIT_TEXT, write_demo_dataset
+from tests.conftest import SAMPLE_UNIT_TEXT, layered_units, write_demo_dataset
 from tests.randgen import random_instance
 
 
@@ -244,32 +243,9 @@ def test_c7_full_dataset_bench(tmp_path, capsys):
             print(f"[acceptance] {goal}: {actual} {verdict} reference {expected}")
 
 
-def _layered_units(layers=12, width=417):
-    """Deterministic layered graph: ~layers*width units, two inputs each."""
-    def node(layer, i):
-        return ObjectNode(
-            f"item {layer} {i}", frozenset({StateDescriptor("stage", str(layer))})
-        )
-
-    units = []
-    for layer in range(1, layers + 1):
-        for i in range(width):
-            inputs = (node(layer - 1, i), node(layer - 1, (i * 7 + 3) % width))
-            units.append(
-                FunctionalUnit(
-                    inputs=inputs,
-                    motion=MotionNode(f"combine {layer % 5}"),
-                    outputs=(node(layer, i),),
-                    unit_index=len(units),
-                )
-            )
-    base = [node(0, i) for i in range(width)]
-    return units, base, node(layers, 0)
-
-
 def test_c8_performance_budget():
     with criterion(8, "5,000-unit parse under 2 s, retrieval under 250 ms"):
-        units, base, goal = _layered_units()
+        units, base, goal = layered_units()
         assert len(units) >= 5000
         text = serialize_units(units)
 

@@ -1,22 +1,40 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from foon import (
+    ALGORITHMS,
+    SOLVED,
+    FoonWarning,
+    FunctionalUnit,
+    Kitchen,
+    ObjectNode,
     TaskTree,
     build_graph,
+    export_dot,
+    ids_search,
     node_key,
     parse_foon_text,
     parse_goals,
     parse_kitchen,
+    run_algorithm,
+    serialize_task_tree,
     validate_tree,
 )
-from foon.cli import main, slugify
+from foon.cli import _assign_slugs, main, slugify
+from tests import golden
 from tests.conftest import DEMO_FOON, DEMO_KITCHEN, write_demo_dataset
+from tests.randgen import Instance, node_record, random_instance, write_instance
 
 
 # Both start from the demo kitchen's pitcher.
@@ -471,3 +489,206 @@ class TestBench:
         assert run_cli(paths, out_dir, command="bench") == 1
         pivot = capsys.readouterr().out.split("\n\n")[-1].splitlines()
         assert pivot[1].split() == ["drinking", "glass", "-", "3", "3"]
+
+
+class TestGoldenOutput:
+    def test_runs_reproduce_the_golden_manifest(self, tmp_path):
+        # tests/golden.py documents the datasets and how the manifest was made.
+        expected = json.loads(golden.MANIFEST.read_text())
+        actual = golden.manifest(tmp_path)
+        assert actual.keys() == expected.keys()
+        for name in expected:
+            assert actual[name] == expected[name], name
+
+
+# Tea has two producers: "brew" (rate 0.9, one input) needs a mystery
+# ingredient nobody makes, "boil" (rate 0.5, two inputs) starts from the
+# demo kitchen. Both greedy heuristics pick "brew" and get stuck; IDS
+# backtracks to "boil".
+TEA_FOON = """\
+//
+O mystery leaf
+S dried
+M brew
+O tea
+S hot
+//
+O pitcher
+S contains {water}
+O drinking glass
+S empty
+M boil
+O tea
+S hot
+//
+"""
+TEA_GOALS = '[{"label": "tea", "states": ["hot"]}, {"label": "unicorn stew"}]'
+
+
+class TestReportExplanations:
+    def test_rows_carry_reason_missing_key_and_final_bound(self, tmp_path):
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=TEA_GOALS)
+        paths["foon"].write_text(TEA_FOON)
+        paths["rates"].write_text('{"brew": 0.9, "boil": 0.5}')
+        report = tmp_path / "report.json"
+        code = run_cli(
+            paths, tmp_path / "out", "--motion-rates", str(paths["rates"]),
+            "--report", str(report),
+        )
+        assert code == 2
+        rows = {
+            (row["goal_label"], row["algorithm"]): row
+            for row in json.loads(report.read_text())["rows"]
+        }
+        units, _ = parse_foon_text(TEA_FOON)
+        mystery, stew = units[0].inputs[0], ObjectNode("unicorn stew")
+        tea = parse_goals(TEA_GOALS)[0]
+        ids = ids_search(build_graph(units), parse_kitchen(DEMO_KITCHEN), tea)
+
+        solved = rows["tea", "ids"]
+        assert solved["status"] == "solved"
+        assert solved["reason"] is None and solved["missing_key"] is None
+        assert solved["final_depth_bound"] == ids.stats.final_depth_bound >= 1
+
+        for algorithm in ("gbfs_a", "gbfs_b"):
+            stuck = rows["tea", algorithm]
+            assert stuck["status"] == "unsolvable"
+            assert stuck["missing_key"] == mystery.key
+            assert stuck["reason"] == (
+                f"item cannot be produced and is not in the kitchen: {mystery.key}"
+            )
+            assert stuck["final_depth_bound"] is None
+
+        unsolvable = rows["unicorn stew", "ids"]
+        assert unsolvable["status"] == "unsolvable"
+        assert unsolvable["reason"] == (
+            f"goal has no producers and is not in the kitchen: {stew.key}"
+        )
+        assert unsolvable["missing_key"] is None
+        assert unsolvable["final_depth_bound"] is None
+        assert rows["unicorn stew", "gbfs_a"]["missing_key"] == stew.key
+
+
+class TestRenderOnceOutput:
+    def test_files_match_memo_less_rendering_with_dotted_and_duplicate_goals(
+        self, tmp_path
+    ):
+        # Two "1.5 cup" goals (one twice), a dotted "a.b" and the demo goal.
+        foon = DEMO_FOON + "".join(
+            f"O pitcher\nS contains {{water}}\nM measure\nO {label}\nS {state}\n//\n"
+            for label, state in (("1.5 cup", "full"), ("1.5 cup", "half"), ("a.b", "full"))
+        )
+        goals = [
+            {"label": "1.5 cup", "states": ["full"]},
+            {"label": "1.5 Cup", "states": ["half"]},
+            {"label": "1.5 cup", "states": ["full"]},
+            {"label": "a.b", "states": ["full"]},
+            {"label": "drinking glass", "states": ["contains {ice,water}"]},
+        ]
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=json.dumps(goals))
+        paths["foon"].write_text(foon)
+        out_dir = tmp_path / "out"
+        assert run_cli(paths, out_dir, "--emit-dot") == 0
+
+        units, _ = parse_foon_text(foon)
+        graph, kitchen = build_graph(units), parse_kitchen(DEMO_KITCHEN)
+        with pytest.warns(FoonWarning, match="duplicate goal '1.5 cup'"):
+            goal_nodes = parse_goals(json.dumps(goals))
+        expected = {}
+        for goal, slug in zip(goal_nodes, _assign_slugs(goal_nodes)):
+            for algorithm in ALGORITHMS:
+                tree = run_algorithm(algorithm, graph, kitchen, goal).tree
+                expected[f"{slug}_{algorithm}.txt"] = serialize_task_tree(tree)
+                expected[f"{slug}_{algorithm}.dot"] = export_dot(tree)
+        written = {p.name: p.read_text(encoding="utf-8") for p in out_dir.iterdir()}
+        assert written == expected
+        assert "1.5_cup_2_ids.txt" in written and "a.b_ids.dot" in written
+
+
+# Goal labels the file names must cope with: dots, unicode, case and
+# spacing variants of one label, and labels past the file-name limit.
+_odd_labels = st.one_of(
+    st.sampled_from(["1.5 cup", "a.b.c", ".", "..", "x" * 300, "Ü" * 300, "é/è\\ñ", 'q"t']),
+    st.text(min_size=1, max_size=12).filter(lambda text: text.split()),
+)
+
+
+def _relabel(instance: Instance, labels: list[str]) -> Instance:
+    """``instance`` with pool node i relabelled ``labels[i]``."""
+    renamed = {
+        node.key: ObjectNode(label, node.states, node.ingredients)
+        for node, label in zip(instance.pool, labels)
+    }
+    units = [
+        FunctionalUnit(
+            tuple(renamed[n.key] for n in unit.inputs),
+            unit.motion,
+            tuple(renamed[n.key] for n in unit.outputs),
+            unit.unit_index,
+        )
+        for unit in instance.graph.units
+    ]
+    return Instance(
+        graph=build_graph(units),
+        kitchen=Kitchen.from_nodes(renamed[n.key] for n in instance.kitchen.nodes),
+        goal=renamed[instance.goal.key],
+        pool=list(renamed.values()),
+    )
+
+
+class TestCliContract:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 10_000))
+    def test_exit_code_report_and_files_hold_for_odd_goal_labels(self, data, seed):
+        instance = random_instance(seed, max_units=40, max_keys=12)
+        labels = data.draw(
+            st.lists(_odd_labels, min_size=len(instance.pool), max_size=len(instance.pool))
+        )
+        instance = _relabel(instance, labels)
+        # Every pool node is a goal, so every solvable one writes its trees;
+        # the drawn extras repeat some of them.
+        extras = data.draw(st.lists(st.integers(0, len(labels) - 1), max_size=3))
+        picks = [*range(len(labels)), *extras]
+        shout = data.draw(st.booleans())
+        goals = [
+            node_record(
+                instance.pool[i], labels[i].upper() + "  " if shout else labels[i]
+            )
+            for i in picks
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            paths = write_instance(instance, directory / "dataset", goals, {"mix": 0.5})
+            out_dir, report = directory / "out", directory / "report.json"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run_cli(
+                    paths, out_dir, "--emit-dot", "--report", str(report),
+                    "--motion-rates", str(paths["rates"]),
+                )
+            assert "Traceback" not in stderr.getvalue()
+            rows = json.loads(report.read_text(encoding="utf-8"))["rows"]
+            assert len(rows) == len(goals) * len(ALGORITHMS)
+            if any(row["error"] for row in rows):
+                assert code == 1
+            else:
+                assert code == (0 if all(r["status"] == SOLVED for r in rows) else 2)
+
+            kitchen = parse_kitchen(paths["kitchen"].read_text(encoding="utf-8"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", FoonWarning)
+                goal_nodes = parse_goals(paths["goals"].read_text(encoding="utf-8"))
+            expected = [
+                (goal, slug, algorithm)
+                for goal, slug in zip(goal_nodes, _assign_slugs(goal_nodes))
+                for algorithm in ALGORITHMS
+            ]
+            for row, (goal, slug, algorithm) in zip(rows, expected):
+                assert row["algorithm"] == algorithm
+                if row["functional_unit_count"] is None or row["error"]:
+                    continue
+                text = (out_dir / f"{slug}_{algorithm}.txt").read_text(encoding="utf-8")
+                units, diagnostics = parse_foon_text(text)
+                assert not diagnostics
+                assert len(units) == row["functional_unit_count"]
+                assert validate_tree(kitchen, TaskTree(units, goal.key)).ok

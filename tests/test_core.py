@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from foon import (
@@ -215,6 +217,17 @@ def test_unit_signature_ignores_weight_and_index():
     other = unit([obj("a")], "mix", [obj("b")], index=4, rate=0.2)
     assert base.signature == other.signature
     assert base.signature != unit([obj("a")], "stir", [obj("b")]).signature
+
+
+def test_with_motion_swaps_only_the_motion():
+    base = unit([obj("b"), obj("a")], "Mix", [obj("c")], index=3)
+    rated = base.with_motion(MotionNode("mix", 0.25))
+    assert rated == dataclasses.replace(base, motion=MotionNode("mix", 0.25))
+    assert rated.motion.success_rate == 0.25 and base.motion.success_rate == 1.0
+    for name in ("inputs", "outputs", "unit_index", "input_keys", "output_keys", "signature"):
+        assert getattr(rated, name) == getattr(base, name)
+    with pytest.raises(ValueError, match="'stir' does not match 'mix'"):
+        base.with_motion(MotionNode("stir", 0.5))
 
 
 def test_kitchen_deduplicates_by_key():

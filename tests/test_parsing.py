@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 
 import foon.parsing
 from foon import (
+    ALGORITHMS,
     FoonWarning,
     InvalidNodeError,
+    MotionNode,
     SchemaError,
     StateDescriptor,
     TaskTree,
@@ -21,14 +24,17 @@ from foon import (
     parse_goals,
     parse_kitchen,
     parse_motion_rates,
+    run_algorithm,
     serialize_task_tree,
     serialize_units,
 )
+from foon.parsing import RenderMemo
 from tests.conftest import SAMPLE_UNIT_TEXT, obj, unit
 from tests.parse_reference import (
     reference_parse_foon_text,
     reference_parse_state_payload,
 )
+from tests.randgen import random_instance
 from tests.test_properties import unit_lists
 
 
@@ -335,6 +341,21 @@ class TestMotionRates:
         units = apply_motion_rates([sample_unit], {"scoop and pour": 0.25})
         assert units[0].motion.success_rate == 0.25
 
+    def test_apply_matches_rebuilding_each_unit(self):
+        instance = random_instance(3)
+        rates = {"chop": 0.5, "pour": 0.0, "mix": 1.0, "scoop": 0.75, "bake": 0.1, "stir": 0.2}
+        applied = apply_motion_rates(instance.graph.units, rates)
+        rebuilt = [
+            dataclasses.replace(u, motion=MotionNode(u.motion.label, rates[u.motion.label]))
+            for u in instance.graph.units
+        ]
+        assert applied == rebuilt
+        for got, want in zip(applied, rebuilt):
+            assert got.motion == want.motion
+            assert (got.input_keys, got.output_keys, got.signature) == (
+                want.input_keys, want.output_keys, want.signature
+            )
+
     def test_apply_normalizes_the_rate_labels(self, sample_unit):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -427,3 +448,88 @@ class TestExportDot:
     def test_accepts_task_tree(self, sample_unit):
         tree = TaskTree(steps=(sample_unit,), goal=node_key(sample_unit.outputs[0]))
         assert "scoop and pour" in export_dot(tree)
+
+
+def _render_goals(graph, kitchen, goals, memo):
+    """Render every goal's trees through ``memo`` the way a CLI run does, and
+    check each text against the call without a memo. Returns the tree count."""
+    rendered = 0
+    for goal in goals:
+        for algorithm in ALGORITHMS:
+            tree = run_algorithm(algorithm, graph, kitchen, goal, 100).tree
+            if tree is None:
+                continue
+            assert serialize_task_tree(tree, memo) == serialize_task_tree(tree)
+            assert export_dot(tree, memo) == export_dot(tree)
+            rendered += 1
+        memo.forget_trees()
+    return rendered
+
+
+class TestRenderMemo:
+    """A memo shared by many renders gives each one the text it gives alone."""
+
+    def test_random_instances_through_one_memo(self):
+        memo = RenderMemo()
+        rendered = 0
+        for seed in range(60):
+            instance = random_instance(seed)
+            rendered += _render_goals(instance.graph, instance.kitchen, instance.pool, memo)
+            assert export_dot(instance.graph, memo) == export_dot(instance.graph)
+        assert rendered > 300
+
+    def test_layered_graph_through_one_memo(self, layered):
+        graph, kitchen, goals = layered
+        memo = RenderMemo()
+        assert _render_goals(graph, kitchen, goals, memo) == 3 * len(goals)
+        assert export_dot(graph, memo) == export_dot(graph)
+
+    def test_units_that_differ_only_in_input_order_render_apart(self):
+        a, b, c = obj("a", ["raw"]), obj("b"), obj("c")
+        first, second = unit([a, b], "mix", [c]), unit([b, a], "mix", [c])
+        assert first.signature == second.signature
+        memo = RenderMemo()
+        texts = set()
+        for step in (first, second):
+            tree = TaskTree(steps=(step,), goal=c.key)
+            text = serialize_task_tree(tree, memo)
+            assert text == serialize_task_tree(tree)
+            assert export_dot(tree, memo) == export_dot(tree)
+            texts.add(text)
+        assert len(texts) == 2
+
+    def test_ingredient_only_nodes(self):
+        shaker, soup = obj("salt shaker", [], ["salt"]), obj("soup", [], ["salt", "water"])
+        pot = obj("pot", ["contains"], ["water"])
+        steps = (unit([shaker, pot], "season", [soup]), unit([soup], "serve", [obj("bowl")]))
+        memo = RenderMemo()
+        for tree in (TaskTree(steps[:1], soup.key), TaskTree(steps, steps[1].outputs[0].key)):
+            text = serialize_task_tree(tree, memo)
+            assert text == serialize_task_tree(tree)
+            assert "O salt shaker\nS {salt}\n" in text
+            assert "O soup\nS {salt,water}\n" in text
+            assert export_dot(tree, memo) == export_dot(tree)
+
+    def test_quotes_and_backslashes(self):
+        odd = obj('say "hi"', [("in", "a\\b")], ['x"y'])
+        tree = TaskTree(steps=(unit([odd], 'cut \\ "fine"', [obj("z")]),), goal=obj("z").key)
+        memo = RenderMemo()
+        for _ in range(2):
+            assert serialize_task_tree(tree, memo) == serialize_task_tree(tree)
+            dot = export_dot(tree, memo)
+            assert dot == export_dot(tree)
+            memo.forget_trees()
+        assert 'label="say \\"hi\\"\\nin [a\\\\b]\\n{x\\"y}"' in dot
+        assert 'label="cut \\\\ \\"fine\\""' in dot
+
+    def test_forgetting_trees_keeps_node_and_unit_text(self, chain):
+        graph, _, goal = chain
+        tree = TaskTree(steps=graph.units, goal=goal.key)
+        memo = RenderMemo()
+        serialize_task_tree(tree, memo)
+        export_dot(tree, memo)
+        assert len(memo.trees) == 2
+        memo.forget_trees()
+        assert not memo.trees
+        assert len(memo.nodes) == len(memo.dot_nodes) == 3
+        assert len(memo.units) == 2
