@@ -25,9 +25,12 @@ from __future__ import annotations
 import heapq
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 NodeKey = str
+
+# json.dumps(..., separators=(",", ":")) without building an encoder per call.
+_encode_key = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class FoonError(Exception):
@@ -105,9 +108,8 @@ class ObjectNode:
             filter(None, (normalize(i) for i in self.ingredients))
         )
         states = frozenset(self.states)
-        key = json.dumps(
-            [label, sorted(map(_state_sort_key, states)), sorted(ingredients)],
-            separators=(",", ":"),
+        key = _encode_key(
+            [label, sorted(map(_state_sort_key, states)), sorted(ingredients)]
         )
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "states", states)
@@ -181,10 +183,21 @@ class FunctionalUnit:
             raise ValueError(
                 f"motion {motion.label!r} does not match {self.motion.label!r}"
             )
+        return self._with("motion", motion)
+
+    def with_index(self, unit_index: int) -> "FunctionalUnit":
+        """This unit renumbered to ``unit_index``.
+
+        Copies the fields as they are: the keys and signature do not depend
+        on the index, so they are not computed again.
+        """
+        return self._with("unit_index", unit_index)
+
+    def _with(self, name: str, value) -> "FunctionalUnit":
         unit = object.__new__(FunctionalUnit)
-        for name in self.__slots__:
-            object.__setattr__(unit, name, getattr(self, name))
-        object.__setattr__(unit, "motion", motion)
+        for slot in self.__slots__:
+            object.__setattr__(unit, slot, getattr(self, slot))
+        object.__setattr__(unit, name, value)
         return unit
 
 
@@ -296,7 +309,7 @@ def build_graph(units: list[FunctionalUnit] | tuple[FunctionalUnit, ...]) -> Foo
             continue
         seen.add(unit.signature)
         if unit.unit_index != len(kept):
-            unit = replace(unit, unit_index=len(kept))
+            unit = unit.with_index(len(kept))
         kept.append(unit)
         for key in dict.fromkeys(unit.output_keys):
             producers.setdefault(key, []).append(unit)

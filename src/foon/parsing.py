@@ -23,9 +23,11 @@ The parser only splits lines into labels, states, containers and
 ingredients; the node types alone normalize and validate them, so the
 message for an empty label is the :class:`InvalidNodeError` of
 :class:`ObjectNode`, :class:`StateDescriptor` or :class:`MotionNode`,
-anchored to the O, S or M line. The S lines of each distinct object text
-(its O payload and S payloads) are parsed once per parse, and nodes with
-equal keys are one shared instance.
+anchored to the O, S or M line. Each distinct line is split into tag and
+payload, each distinct S payload parsed, each distinct M payload made a
+:class:`MotionNode` and each distinct object text (its O payload and S
+payloads) built into a node once per parse. Equal motion payloads share one
+motion, and nodes with equal keys are one shared instance.
 
 Kitchen and goal files are JSON lists of ``{"label": ..., "states": [...],
 "ingredients": [...]}`` records whose state strings use the same payload
@@ -117,6 +119,27 @@ def parse_state_payload(payload: str) -> tuple[StateDescriptor | None, frozenset
     return StateDescriptor(_BRACKETS.sub(" ", rest), container), frozenset(ingredients)
 
 
+def _split_line(raw: str) -> tuple[str, str]:
+    """The (kind, payload) of one line.
+
+    ``kind`` is "" for a blank line, "//" for a delimiter, "o", "s" or "m"
+    for a tag (lowercased, "0" read as "o") and "?" for an unknown tag, whose
+    payload is then the tag as written.
+    """
+    stripped = raw.strip()
+    if not stripped:
+        return "", ""
+    if stripped.startswith("//"):
+        return "//", ""
+    tag, *rest = stripped.split(None, 1)
+    kind = tag.lower()
+    if kind in _OBJECT_TAGS:
+        kind = "o"
+    elif kind not in ("s", "m"):
+        return "?", tag
+    return kind, rest[0] if rest else ""
+
+
 def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnostic]]:
     """Parse FOON text into functional units plus diagnostics.
 
@@ -125,6 +148,11 @@ def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnost
     """
     diagnostics: list[ParseDiagnostic] = []
     units: list[FunctionalUnit] = []
+    # Each distinct piece is worked out once per parse. A payload that fails
+    # is not stored, so every occurrence reports its own line.
+    tagged: dict[str, tuple[str, str]] = {}  # raw line -> (kind, payload)
+    parsed_states: dict[str, tuple] = {}  # S payload -> parse_state_payload result
+    motions: dict[str, MotionNode] = {}  # M payload -> its one instance
     built: dict[tuple[str, ...], ObjectNode] = {}  # O and S payloads -> node
     shared: dict[str, ObjectNode] = {}  # node key -> its one instance
     failed = False
@@ -135,8 +163,6 @@ def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnost
         diagnostics.append(ParseDiagnostic(line_number, message, ERROR))
 
     def build(lines: list[int], payloads: list[str]) -> ObjectNode | None:
-        # Only the first occurrence of an object text parses its S lines. A
-        # failed build is not stored, so every occurrence reports its line.
         content = tuple(payloads)
         node = built.get(content)
         if node is not None:
@@ -144,11 +170,14 @@ def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnost
         states: set[StateDescriptor] = set()
         ingredients: set[str] = set()
         for line_number, payload in zip(lines[1:], payloads[1:]):
-            try:
-                state, extra = parse_state_payload(payload)
-            except InvalidNodeError as exc:
-                error(line_number, str(exc))
-                return None
+            parsed = parsed_states.get(payload)
+            if parsed is None:
+                try:
+                    parsed = parsed_states[payload] = parse_state_payload(payload)
+                except InvalidNodeError as exc:
+                    error(line_number, str(exc))
+                    return None
+            state, extra = parsed
             if state is not None:
                 states.add(state)
             ingredients.update(extra)
@@ -173,10 +202,13 @@ def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnost
     start: int | None = None
     previous_delimiter: int | None = None
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
+        entry = tagged.get(raw)
+        if entry is None:
+            entry = tagged[raw] = _split_line(raw)
+        kind, payload = entry
+        if not kind:
             continue
-        if stripped.startswith("//"):
+        if kind == "//":
             if start is not None:
                 close(start, inputs, outputs, motion)
                 start = None
@@ -189,18 +221,15 @@ def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnost
         if start is None:
             start, inputs, outputs, motion, obj = line_number, [], [], None, None
             objects = inputs
-        tag, *rest = stripped.split(None, 1)
-        payload = rest[0] if rest else ""
-        kind = tag.lower()
-        if kind in _OBJECT_TAGS:
-            obj = ([line_number], [payload])
-            objects.append(obj)
-        elif kind == "s":
+        if kind == "s":
             if obj is None:
                 error(line_number, "state line with no preceding object line")
             else:
                 obj[0].append(line_number)
                 obj[1].append(payload)
+        elif kind == "o":
+            obj = ([line_number], [payload])
+            objects.append(obj)
         elif kind == "m":
             if objects is outputs:
                 error(line_number, "block has more than one motion line")
@@ -208,13 +237,15 @@ def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnost
                 error(line_number, "motion line with no preceding object line")
             else:
                 objects, obj = outputs, None
-                try:
-                    motion = MotionNode(payload)
-                except InvalidNodeError as exc:
-                    error(line_number, str(exc))
+                motion = motions.get(payload)
+                if motion is None:
+                    try:
+                        motion = motions[payload] = MotionNode(payload)
+                    except InvalidNodeError as exc:
+                        error(line_number, str(exc))
         else:
             diagnostics.append(
-                ParseDiagnostic(line_number, f"unknown line tag {tag!r}", WARNING)
+                ParseDiagnostic(line_number, f"unknown line tag {payload!r}", WARNING)
             )
     if start is not None:
         close(start, inputs, outputs, motion)
@@ -230,6 +261,7 @@ def _parse_node_records(text: str, what: str) -> list[ObjectNode]:
         raise SchemaError(f"{what}: expected a list of object records")
 
     nodes: list[ObjectNode] = []
+    parsed: dict[str, tuple] = {}  # state string -> parse_state_payload result
     for index, entry in enumerate(data):
         where = f"{what} entry {index}"
         if not isinstance(entry, dict):
@@ -251,10 +283,13 @@ def _parse_node_records(text: str, what: str) -> list[ObjectNode]:
         for s in states_raw:
             if not isinstance(s, str):
                 raise SchemaError(f'{where}: "states" must be a list of strings')
-            try:
-                state, extra = parse_state_payload(s)
-            except InvalidNodeError as exc:
-                raise SchemaError(f"{where}: state {s!r}: {exc}") from exc
+            if s in parsed:
+                state, extra = parsed[s]
+            else:
+                try:
+                    state, extra = parsed[s] = parse_state_payload(s)
+                except InvalidNodeError as exc:
+                    raise SchemaError(f"{where}: state {s!r}: {exc}") from exc
             if state is None:
                 # Records list ingredients in their own field.
                 raise SchemaError(f"{where}: state {s!r}: state label is empty")

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from foon import (
 )
 from foon.core import forward_chain
 from tests.conftest import obj, unit
+from tests.randgen import random_instance
 
 
 class TestNodeKey:
@@ -228,6 +230,29 @@ def test_with_motion_swaps_only_the_motion():
         assert getattr(rated, name) == getattr(base, name)
     with pytest.raises(ValueError, match="'stir' does not match 'mix'"):
         base.with_motion(MotionNode("stir", 0.5))
+
+
+def test_with_index_matches_replace_in_build_graph():
+    rng = random.Random(11)
+    for seed in range(30):
+        units = list(random_instance(seed).graph.units)
+        # Duplicates, with other indices and rates, shift every later unit.
+        for _ in range(rng.randint(1, 5)):
+            if units:
+                twin = rng.choice(units)
+                twin = dataclasses.replace(
+                    twin, motion=MotionNode(twin.motion.label, 0.5), unit_index=99
+                )
+                units.insert(rng.randint(0, len(units)), twin)
+        kept: dict[tuple, object] = {}
+        for u in units:
+            kept.setdefault(u.signature, u)
+        expected = [dataclasses.replace(u, unit_index=i) for i, u in enumerate(kept.values())]
+        graph = build_graph(units)
+        assert graph.units == tuple(expected)
+        for got, want in zip(graph.units, expected):
+            for name in ("motion", "unit_index", "input_keys", "output_keys", "signature"):
+                assert getattr(got, name) == getattr(want, name)
 
 
 def test_kitchen_deduplicates_by_key():

@@ -12,6 +12,7 @@ from foon import (
     FoonWarning,
     InvalidNodeError,
     MotionNode,
+    ObjectNode,
     SchemaError,
     StateDescriptor,
     TaskTree,
@@ -138,8 +139,34 @@ class TestParseFoonText:
         )
         units, diagnostics = parse_foon_text(text)
         assert not diagnostics and len(units) == 50
-        assert calls == {"dirty {soap}": 1, "clean": 50}
+        assert calls == {"dirty {soap}": 1, "clean": 1}
         assert all(u.inputs[0] is units[0].inputs[0] for u in units)
+
+    def test_equal_motion_payloads_share_one_motion(self):
+        text = "".join(
+            f"//\nO cup {i}\nM {motion}\nO plate {i}\n"
+            for i, motion in enumerate(["Rinse", "stir", "Rinse", "stir", "Rinse"])
+        )
+        units, diagnostics = parse_foon_text(text)
+        assert not diagnostics and len(units) == 5
+        assert units[0].motion.label == "rinse" and units[1].motion.label == "stir"
+        assert all(u.motion is units[i % 2].motion for i, u in enumerate(units))
+
+    @pytest.mark.parametrize(
+        "bad, severity, message",
+        [
+            ("M", "error", "motion label is empty"),
+            ("S [bowl]\nM pour", "error", "state label is empty"),
+            ("Xy whatever\nM pour", "warning", "unknown line tag 'Xy'"),
+        ],
+    )
+    def test_every_bad_occurrence_reports_its_own_line(self, bad, severity, message):
+        # Line 3 of each block is the bad line, whatever else the block reports.
+        block = f"//\nO cup\n{bad}\nO plate\n"
+        size = block.count("\n")
+        _, diagnostics = parse_foon_text(block * 3 + "//\n")
+        found = [(d.line_number, d.severity) for d in diagnostics if message in d.message]
+        assert found == [(3, severity), (3 + size, severity), (3 + 2 * size, severity)]
 
     def test_invalid_object_reports_every_occurrence(self):
         block = "//\nO cup\nS {}\nM pour\nO cup\nS full\n"
@@ -246,6 +273,38 @@ class TestAgainstReference:
         assert set(map(normalize, ingredients)) - {""} == expected[1]
 
 
+def test_layered_graph_text_matches_the_reference(layered):
+    text = serialize_units(layered[0].units)
+    units, diagnostics = parse_foon_text(text)
+    assert not diagnostics and len(units) == len(layered[0].units)
+    assert (units, diagnostics) == reference_parse_foon_text(text)
+
+
+_key_text = st.text(alphabet=st.sampled_from('aB "\\\u00e9\u2603\U0001f373\t\x07,{}[]'))
+_key_label = _key_text.filter(normalize)
+
+
+class TestNodeKeyEncoding:
+    @settings(max_examples=300)
+    @given(
+        _key_label,
+        st.lists(st.tuples(_key_label, st.none() | _key_text), max_size=3),
+        st.lists(_key_text, max_size=3),
+    )
+    def test_key_is_the_compact_json_dumps_of_the_content(self, label, states, ingredients):
+        node = ObjectNode(
+            label,
+            frozenset(StateDescriptor(*state) for state in states),
+            frozenset(ingredients),
+        )
+        content = [
+            node.label,
+            sorted((s.label, s.relative_container or "") for s in node.states),
+            sorted(node.ingredients),
+        ]
+        assert node.key == json.dumps(content, separators=(",", ":"))
+
+
 class TestKitchenAndGoals:
     def test_kitchen_entry_matches_parsed_node(self, sample_unit):
         text = '[{"label": "ice", "states": ["crushed", "frozen", "in [bowl]"], "ingredients": []}]'
@@ -299,6 +358,40 @@ class TestKitchenAndGoals:
     def test_empty_label_error_names_the_entry(self, entry, message):
         with pytest.raises(SchemaError, match=message):
             parse_kitchen(f'[{{"label": "b"}}, {entry}]')
+
+    @pytest.mark.parametrize("parse", [parse_kitchen, parse_goals])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("[bowl]", "state label is empty after normalization"),
+            ("{salt}", "state label is empty"),
+        ],
+    )
+    def test_repeated_bad_state_names_the_first_entry(self, parse, bad, message):
+        entries = [
+            {"label": "a", "states": ["in [bowl]", "cut"]},
+            {"label": "b", "states": ["cut", bad]},
+            {"label": "c", "states": [bad]},
+        ]
+        what = "kitchen" if parse is parse_kitchen else "goals"
+        expected = f"{what} entry 1: state {bad!r}: {message}"
+        with pytest.raises(SchemaError) as excinfo:
+            parse(json.dumps(entries))
+        assert str(excinfo.value) == expected
+
+    def test_repeated_state_strings_parse_once_per_document(self, monkeypatch):
+        calls: dict[str, int] = {}
+        original = foon.parsing.parse_state_payload
+
+        def counting(payload):
+            calls[payload] = calls.get(payload, 0) + 1
+            return original(payload)
+
+        monkeypatch.setattr(foon.parsing, "parse_state_payload", counting)
+        entries = [{"label": f"cup {i}", "states": ["clean", "in [rack]"]} for i in range(20)]
+        kitchen = parse_kitchen(json.dumps(entries))
+        assert len(kitchen) == 20 and calls == {"clean": 1, "in [rack]": 1}
+        assert all(StateDescriptor("in", "rack") in node.states for node in kitchen.nodes)
 
     def test_goals_preserve_order(self):
         goals = parse_goals('[{"label": "b"}, {"label": "a"}]')
