@@ -9,20 +9,31 @@ import argparse
 import sys
 from pathlib import Path
 
-from foon import build_graph, export_dot, parse_foon_text
+from foon import FoonError, build_graph, export_dot, parse_foon_text
 
 
 def main(argv=None):
+    """Exit 0 on success, 1 on an unreadable file or an invalid FOON."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("foon_file", help="FOON text file to render")
     args = parser.parse_args(argv)
 
-    units, diagnostics = parse_foon_text(Path(args.foon_file).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.foon_file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {args.foon_file}: {exc}", file=sys.stderr)
+        return 1
+    units, diagnostics = parse_foon_text(text)
     for diag in diagnostics:
         print(f"{args.foon_file}: {diag}", file=sys.stderr)
     if any(d.severity == "error" for d in diagnostics):
         return 1
-    sys.stdout.write(export_dot(build_graph(units)))
+    try:
+        graph = build_graph(units)
+    except FoonError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    sys.stdout.write(export_dot(graph))
     return 0
 
 

@@ -22,7 +22,7 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import FoonError, FoonGraph, Kitchen, ObjectNode, build_graph
@@ -226,7 +226,10 @@ def format_pivot(rows: list[ReportRow]) -> str:
 
 
 def _write_report(rows: list[ReportRow], path: str) -> None:
-    payload = {"rows": [asdict(row) for row in rows]}
+    # A row holds only str, int, float and None, so its own __dict__ (the
+    # fields in declaration order) serializes as dataclasses.asdict would,
+    # without a deep copy.
+    payload = {"rows": [vars(row) for row in rows]}
     _write_text(Path(path), json.dumps(payload, indent=2) + "\n")
 
 

@@ -8,7 +8,10 @@ to the units that output it. A *task tree* is an execution-ordered list of
 units that turns a kitchen (the objects assumed available) into a goal node.
 
 :func:`forward_chain`, the one forward pass from a kitchen, gives both the
-live-producer index and the step order of every retrieved task tree.
+live-producer index and the step order of every retrieved task tree. It and
+:func:`validate_tree` only read the kitchen's key set: they keep the keys
+derived so far in a set of their own, so checking one task tree costs what
+the tree costs, not what the kitchen holds.
 
 Object identity is canonical: labels, states and ingredients are lowercased,
 trimmed and whitespace-collapsed, and two nodes are the same node exactly
@@ -234,8 +237,8 @@ class FoonGraph:
         if memo is not None and (memo[0] is kitchen.keys or memo[0] == kitchen.keys):
             return memo[1]
 
-        reachable: set[NodeKey] = set(kitchen.keys)
-        forward_chain(self.units, reachable)
+        _, reachable = forward_chain(self.units, kitchen.keys)
+        reachable |= kitchen.keys
         live: dict[NodeKey, tuple[FunctionalUnit, ...]] = {}
         for key, units in self.producers.items():
             fed = tuple(u for u in units if reachable.issuperset(u.input_keys))
@@ -256,37 +259,44 @@ class FoonGraph:
         return len(self.units)
 
 
-def forward_chain(units, available: set[NodeKey]) -> list[int]:
-    """Fire units lowest position first; return the positions in firing order.
+def forward_chain(
+    units, kitchen_keys: frozenset[NodeKey] | set[NodeKey]
+) -> tuple[list[int], set[NodeKey]]:
+    """Fire units lowest position first from ``kitchen_keys``.
 
-    A unit fires once all its inputs are in ``available``, which gains its
-    outputs and so ends as the closure (availability only grows, so a ready
+    Returns ``(fired, made)``: the positions of the fired units in firing
+    order, and the keys they output that are not in ``kitchen_keys``, so
+    ``kitchen_keys | made`` is the closure. A unit fires once each of its
+    inputs is in the kitchen or made (availability only grows, so a ready
     unit stays ready). Units behind a missing input or a cycle never fire.
-    Unmet-input counters keep the pass linear (Dowling & Gallier 1984).
+    ``kitchen_keys`` is only read, never copied or mutated, so the pass
+    costs what the units cost, however large the kitchen. Unmet-input
+    counters keep it linear (Dowling & Gallier 1984).
     """
     waiting: dict[NodeKey, list[int]] = {}
     unmet: list[int] = []
     ready: list[int] = []  # ascending, so already a heap
     for pos, unit in enumerate(units):
-        needs = set(unit.input_keys) - available
+        needs = set(unit.input_keys) - kitchen_keys
         unmet.append(len(needs))
         for key in needs:
             waiting.setdefault(key, []).append(pos)
         if not needs:
             ready.append(pos)
     fired: list[int] = []
+    made: set[NodeKey] = set()
     while ready:
         pos = heapq.heappop(ready)
         fired.append(pos)
         for key in units[pos].output_keys:
-            if key in available:
+            if key in made or key in kitchen_keys:
                 continue
-            available.add(key)
+            made.add(key)
             for waiter in waiting.get(key, ()):
                 unmet[waiter] -= 1
                 if not unmet[waiter]:
                     heapq.heappush(ready, waiter)
-    return fired
+    return fired, made
 
 
 def build_graph(units: list[FunctionalUnit] | tuple[FunctionalUnit, ...]) -> FoonGraph:
@@ -375,7 +385,9 @@ class ValidationReport:
 def validate_tree(kitchen: Kitchen, tree: TaskTree) -> ValidationReport:
     """Check that a task tree is executable against a kitchen.
 
-    Violations (returned as data, never raised):
+    The kitchen's key set is only read, never copied: the outputs of the
+    steps so far are kept in a set of their own, so the check costs what the
+    tree costs. Violations (returned as data, never raised):
       * a step consumes an input that is neither in the kitchen nor output
         by an earlier step,
       * the final step does not output the goal,
@@ -388,11 +400,12 @@ def validate_tree(kitchen: Kitchen, tree: TaskTree) -> ValidationReport:
             violations.append("empty tree but goal not in kitchen")
         return ValidationReport(tuple(violations))
 
-    available: set[NodeKey] = set(kitchen.keys)
+    kitchen_keys = kitchen.keys
+    made: set[NodeKey] = set()
     seen_signatures: dict[tuple, int] = {}
     for i, unit in enumerate(tree.steps):
         for key in unit.input_keys:
-            if key not in available:
+            if key not in made and key not in kitchen_keys:
                 violations.append(f"step {i}: input {key} unavailable")
         if unit.signature in seen_signatures:
             violations.append(
@@ -400,7 +413,7 @@ def validate_tree(kitchen: Kitchen, tree: TaskTree) -> ValidationReport:
             )
         else:
             seen_signatures[unit.signature] = i
-        available.update(unit.output_keys)
+        made.update(unit.output_keys)
 
     if tree.goal not in tree.steps[-1].output_keys:
         violations.append("final step does not output the goal")

@@ -139,7 +139,8 @@ def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None
             seen.add(unit.signature)
             steps.append(unit)
 
-    ordered = [steps[pos] for pos in forward_chain(steps, set(kitchen.keys))]
+    fired, _ = forward_chain(steps, kitchen.keys)
+    ordered = [steps[pos] for pos in fired]
     if len(ordered) < len(steps):
         return None
     while ordered and goal not in ordered[-1].output_keys:

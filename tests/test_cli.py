@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -31,7 +32,7 @@ from foon import (
     serialize_task_tree,
     validate_tree,
 )
-from foon.cli import _assign_slugs, main, slugify
+from foon.cli import ReportRow, _assign_slugs, _write_report, main, slugify
 from tests import golden
 from tests.conftest import DEMO_FOON, DEMO_KITCHEN, write_demo_dataset
 from tests.randgen import Instance, node_record, random_instance, write_instance
@@ -158,6 +159,17 @@ class TestRun:
             tree_path = out_dir / f"drinking_glass_{row['algorithm']}.txt"
             units, _ = parse_foon_text(tree_path.read_text())
             assert row["functional_unit_count"] == len(units)
+
+    def test_report_bytes_match_dataclasses_asdict(self, tmp_path):
+        rows = [
+            ReportRow("drinking glass", "ids", "solved", 2, 5, 0.00125, None, None, None, 3),
+            ReportRow("b \u00e9", "gbfs_a", "unsolvable", None, 0, 1e-07, "disk full",
+                      "item cannot be produced", '["x",[],[]]', None),
+        ]
+        path = tmp_path / "report.json"
+        _write_report(rows, str(path))
+        expected = {"rows": [dataclasses.asdict(row) for row in rows]}
+        assert path.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
 
     def test_single_algorithm_flag(self, demo_dataset, tmp_path):
         out_dir = tmp_path / "out"

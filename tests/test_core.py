@@ -18,7 +18,12 @@ from foon import (
     validate_tree,
 )
 from foon.core import forward_chain
+from foon.search import ALGORITHMS, run_algorithm
 from tests.conftest import obj, unit
+from tests.forward_chain_reference import (
+    reference_forward_chain,
+    reference_validate_tree,
+)
 from tests.randgen import random_instance
 
 
@@ -153,12 +158,65 @@ def test_forward_chain_fires_the_earliest_ready_unit_first():
         unit([y], "m4", [x]),
         unit([a], "m5", [e]),
     ]
-    available = {a.key}
+    kitchen = {a.key}
     # Unit 0 becomes ready after unit 2 fires and still goes before unit 5.
-    assert forward_chain(units, available) == [1, 2, 0, 5]
-    assert available == {n.key for n in (a, b, c, d, e)}
-    assert forward_chain(units, available) == [0, 1, 2, 5]
-    assert forward_chain(units, set()) == []
+    fired, made = forward_chain(units, kitchen)
+    assert fired == [1, 2, 0, 5]
+    assert kitchen | made == {n.key for n in (a, b, c, d, e)}
+    assert kitchen == {a.key}
+    assert forward_chain(units, kitchen | made) == ([0, 1, 2, 5], set())
+    assert forward_chain(units, set()) == ([], set())
+
+
+def test_forward_chain_and_validate_tree_match_the_mutating_reference():
+    """Differential check on the randgen corpus, cyclic instances included.
+
+    The pass runs over each graph's units and over random unit samples with
+    repeats; the validator checks the trees the searches return and
+    shuffled, truncated and resampled step lists that mostly fail.
+    """
+    ok = failed = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        instance = random_instance(seed, acyclic=(seed % 3 == 0))
+        graph, kitchen = instance.graph, instance.kitchen
+        unit_lists = [list(graph.units)]
+        if graph.units:
+            unit_lists.append(rng.choices(graph.units, k=rng.randint(1, 10)))
+        for units in unit_lists:
+            plain = set(kitchen.keys)
+            closure = set(kitchen.keys)
+            expected = reference_forward_chain(units, closure)
+            fired, made = forward_chain(units, plain)
+            assert fired == expected, seed
+            assert plain | made == closure, seed
+            assert not made & plain, seed
+            assert plain == kitchen.keys, seed
+            assert forward_chain(units, kitchen.keys) == (fired, made), seed
+
+        goal = instance.goal.key
+        trees = [TaskTree(steps=(), goal=goal)]
+        for algorithm in ALGORITHMS:
+            outcome = run_algorithm(algorithm, graph, kitchen, instance.goal)
+            if outcome.tree is not None:
+                trees.append(outcome.tree)
+        for units in unit_lists + [list(t.steps) for t in trees[1:]]:
+            shuffled = units + rng.choices(units, k=len(units) // 2)
+            rng.shuffle(shuffled)
+            truncated = units[: rng.randint(0, len(units))]
+            for steps in (shuffled, truncated, units[1:]):
+                trees.append(TaskTree(steps=tuple(steps), goal=goal))
+                if steps:
+                    target = rng.choice(steps[-1].output_keys)
+                    trees.append(TaskTree(steps=tuple(steps), goal=target))
+        for tree in trees:
+            report = validate_tree(kitchen, tree)
+            assert report == reference_validate_tree(kitchen, tree), (seed, tree)
+            if report.ok:
+                ok += 1
+            else:
+                failed += 1
+    assert ok > 2000 and failed > 4000, (ok, failed)
 
 
 class TestReachableOracle:

@@ -37,3 +37,21 @@ def test_render_foon_dot_runs(tmp_path):
     result = run_script("render_foon_dot.py", str(foon))
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("digraph")
+
+
+def test_render_foon_dot_reports_a_missing_file(tmp_path):
+    missing = tmp_path / "missing.txt"
+    result = run_script("render_foon_dot.py", str(missing))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: cannot read {missing}: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_render_foon_dot_reports_a_unit_without_outputs(tmp_path):
+    foon = tmp_path / "recipes.txt"
+    foon.write_text("//\nO ice\nS whole\nM crush\n//\n")
+    result = run_script("render_foon_dot.py", str(foon))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: unit 0: no output nodes\n"
