@@ -11,7 +11,8 @@ documents, optionally motion success rates):
 Exit codes: 0 all goals solved, 1 usage, input or write error, 2 at least
 one goal unsolved. A failed tree or DOT write is recorded in its report
 row (and reads ``error`` in the table) and the run goes on; the exit code
-is still 1.
+is still 1. So is a failed write to standard output, which still writes
+the report; a label stdout cannot encode prints with backslash escapes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 import warnings
@@ -233,6 +235,21 @@ def _write_report(rows: list[ReportRow], path: str) -> None:
     _write_text(Path(path), json.dumps(payload, indent=2) + "\n")
 
 
+def _print_stdout(text: str) -> bool:
+    """Print ``text``; on a write error print an error line and return False."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        # What is still buffered would fail again at interpreter exit, with an
+        # "Exception ignored" message: let it go to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
+
+
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--foon", required=True, help="FOON text file")
     parser.add_argument("--kitchen", required=True, help="kitchen JSON file")
@@ -303,18 +320,21 @@ def main(argv=None) -> int:
     else:
         algorithms = tuple(ALGORITHMS)
 
+    # A label stdout cannot encode prints escaped, as it would on stderr.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         rows = _run_goals(args, algorithms)
-        print(format_table(rows))
+        text = format_table(rows)
         if args.command == "bench":
-            print()
-            print(format_pivot(rows))
+            text += "\n\n" + format_pivot(rows)
+        printed = _print_stdout(text)
         if args.report:
             _write_report(rows, args.report)
     except FoonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if any(row.error for row in rows):
+    if not printed or any(row.error for row in rows):
         return 1
     return 0 if all(row.status == SOLVED for row in rows) else 2
 

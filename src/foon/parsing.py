@@ -469,8 +469,7 @@ def serialize_task_tree(tree: TaskTree, memo: RenderMemo | None = None) -> str:
 
     With a ``memo`` a tree already rendered in it is not rendered again.
     """
-    if memo is None:
-        return serialize_units(tree.steps)
+    memo = RenderMemo() if memo is None else memo
     return memo.tree_text("txt", tree.steps, serialize_units)
 
 
@@ -496,10 +495,10 @@ def export_dot(source: FoonGraph | TaskTree, memo: RenderMemo | None = None) -> 
     declarations, and for a task tree the whole text, of earlier calls (see
     :class:`RenderMemo`).
     """
-    if isinstance(source, TaskTree) and memo is not None:
+    memo = RenderMemo() if memo is None else memo
+    if isinstance(source, TaskTree):
         return memo.tree_text("dot", source.steps, _dot_text)
-    units = source.units if isinstance(source, FoonGraph) else source.steps
-    return _dot_text(units, RenderMemo() if memo is None else memo)
+    return _dot_text(source.units, memo)
 
 
 def _dot_text(units, memo: RenderMemo) -> str:

@@ -8,13 +8,15 @@ Iterative deepening (:func:`ids_search`, its one entry point) runs
 depth-limited passes with bounds 0, 1, 2, ... in one resolver loop and
 backtracks across alternative producers, so it succeeds exactly on the
 instances where the goal is reachable at all (up to the configured bound).
-It tries only producers the kitchen can feed and keeps an explicit stack,
-so dead producers cost nothing and depth is limited only by the bound.
-As in a Prolog machine, a stack of choice points (the frames with an
-untried producer) makes each failure unwind in one step, and an undo log
-kept from a bound's first cutoff takes a failed bound back to that cutoff,
-where the next bound starts: a bound costs only the work done since the
-previous bound's first cutoff, so an n-unit chain takes time linear in n.
+It tries only producers the kitchen can feed and keeps one explicit stack
+of frames, one per item being resolved (slots in :func:`_deepen`), so dead
+producers cost nothing and depth is limited only by the bound. As in a
+Prolog machine, a stack of choice points (the frames with an untried
+producer) makes each failure unwind in one step, and an undo log kept from
+a bound's first cutoff takes a failed bound back to that cutoff, where the
+next bound starts: a bound costs only the work done since the previous
+bound's first cutoff, so an n-unit chain takes time linear in n. A frame
+leaves the stack whole, so the log holds frames, not copies of their slots.
 Greedy best-first keeps a FIFO frontier of items to produce and commits to
 one producer per item, chosen by a heuristic, with no backtracking; a bad
 greedy commitment is reported as a failure.
@@ -176,12 +178,13 @@ def _deepen(
     pass's bound (``max_depth`` when none does) and the number of resolver
     calls made.
 
-    Frame ``i`` of the stack is the resolution of ``keys[i]`` at depth
-    ``i``: it is trying producer ``units[i][unit_pos[i]]`` and has resolved
-    that unit's inputs before ``input_pos[i]``; ``discovery_marks[i]`` and
-    ``trail_marks[i]`` are the lengths to roll back to if the unit fails.
-    The pending resolver call is the top frame's next input, or the goal
-    when the stack is empty.
+    Frame ``i`` of ``stack`` resolves an item at depth ``i``; it is the list
+    ``[key, producers, unit_pos, input_pos, discovery_mark, trail_mark]``:
+    it is trying producer ``producers[unit_pos]`` for ``key`` and has
+    resolved that unit's inputs before ``input_pos``, and the marks are the
+    lengths of ``discovery`` and ``trail`` to roll back to if the unit
+    fails. The pending resolver call is the top frame's next input, or the
+    goal when the stack is empty.
 
     ``choices`` holds, in stack order, the indices of the frames that still
     have an untried producer (the choice points), so a failure unwinds in
@@ -190,14 +193,11 @@ def _deepen(
     its inverse, in ``undo``; when the pass fails, replaying that log
     backwards restores the state of the cutoff, and the next bound starts
     from there. A bound therefore costs only the work done since the
-    previous bound's first cutoff.
+    previous bound's first cutoff. A frame leaves the stack whole and is
+    not changed until a replay puts it back, so the log holds the frames
+    themselves.
     """
-    keys: list[NodeKey] = []
-    units: list[tuple[FunctionalUnit, ...]] = []
-    unit_pos: list[int] = []
-    input_pos: list[int] = []
-    discovery_marks: list[int] = []
-    trail_marks: list[int] = []
+    stack: list[list] = []
     choices: list[int] = []
     resolved: set[NodeKey] = set()
     trail: list[NodeKey] = []
@@ -215,8 +215,12 @@ def _deepen(
         ok = None
         while True:
             if ok is None:
-                depth = len(keys)
-                key = units[-1][unit_pos[-1]].input_keys[input_pos[-1]] if depth else goal
+                depth = len(stack)
+                if depth:
+                    frame = stack[-1]
+                    key = frame[1][frame[2]].input_keys[frame[3]]
+                else:
+                    key = goal
                 calls += 1
                 if depth >= bound:
                     if undo is None:
@@ -229,12 +233,7 @@ def _deepen(
                 else:
                     producers = live[key]
                     on_path.add(key)
-                    keys.append(key)
-                    units.append(producers)
-                    unit_pos.append(0)
-                    input_pos.append(-1)
-                    discovery_marks.append(len(discovery))
-                    trail_marks.append(len(trail))
+                    stack.append([key, producers, 0, -1, len(discovery), len(trail)])
                     discovery.append(producers[0])
                     if len(producers) > 1:
                         choices.append(depth)
@@ -242,15 +241,16 @@ def _deepen(
                         undo.append(_PUSH)
                     ok = True
                     continue
-            if not keys:
+            if not stack:
                 break
 
             if ok:
-                unit = units[-1][unit_pos[-1]]
-                input_pos[-1] += 1
+                frame = stack[-1]
+                unit = frame[1][frame[2]]
+                frame[3] += 1
                 if undo is not None:
                     undo.append(_ADVANCE)
-                if input_pos[-1] < len(unit.input_keys):
+                if frame[3] < len(unit.input_keys):
                     ok = None
                     continue
                 # The top frame's unit resolved: so does its item, and the
@@ -260,22 +260,11 @@ def _deepen(
                     if out not in resolved:
                         resolved.add(out)
                         trail.append(out)
-                if choices and choices[-1] == len(keys) - 1:
+                if choices and choices[-1] == len(stack) - 1:
                     choices.pop()
-                if undo is None:
-                    on_path.discard(keys.pop())
-                    units.pop()
-                    unit_pos.pop()
-                    input_pos.pop()
-                    discovery_marks.pop()
-                    trail_marks.pop()
-                else:
-                    key = keys.pop()
-                    on_path.discard(key)
-                    undo.append((
-                        _POP, key, units.pop(), unit_pos.pop(), input_pos.pop(),
-                        discovery_marks.pop(), trail_marks.pop(), len(trail) - added,
-                    ))
+                on_path.discard(stack.pop()[0])
+                if undo is not None:
+                    undo.append((_POP, frame, len(trail) - added))
                 continue
 
             # A frame whose last producer failed fails too, and so fails its
@@ -284,27 +273,24 @@ def _deepen(
             if not choices:
                 break
             top = choices[-1]
-            cut = top + 1
-            mark = discovery_marks[top]
-            trail_mark = trail_marks[top]
+            frame = stack[top]
+            producers, mark, trail_mark = frame[1], frame[4], frame[5]
+            cut = stack[top + 1:]
             if undo is not None:
-                undo.append((
-                    _UNWIND, top, input_pos[top], keys[cut:], units[cut:],
-                    unit_pos[cut:], input_pos[cut:], discovery_marks[cut:],
-                    trail_marks[cut:], discovery[mark:], trail[trail_mark:],
-                ))
+                undo.append(
+                    (_UNWIND, top, frame[3], cut, discovery[mark:], trail[trail_mark:])
+                )
+            del stack[top + 1:]
+            on_path.difference_update(cut_frame[0] for cut_frame in cut)
             del discovery[mark:]
             if len(trail) > trail_mark:
                 resolved.difference_update(trail[trail_mark:])
                 del trail[trail_mark:]
-            on_path.difference_update(keys[cut:])
-            for frames in (keys, units, unit_pos, input_pos, discovery_marks, trail_marks):
-                del frames[cut:]
-            unit_pos[top] += 1
-            if unit_pos[top] + 1 == len(units[top]):
+            frame[2] += 1
+            if frame[2] + 1 == len(producers):
                 choices.pop()
-            discovery.append(units[top][unit_pos[top]])
-            input_pos[top] = -1
+            discovery.append(producers[frame[2]])
+            frame[3] = -1
             ok = True
 
         if ok:
@@ -316,51 +302,34 @@ def _deepen(
         # Back to the state of this pass's first cutoff, newest change first.
         for entry in reversed(undo):
             if entry is _ADVANCE:
-                input_pos[-1] -= 1
+                stack[-1][3] -= 1
             elif entry is _PUSH:
-                if choices and choices[-1] == len(keys) - 1:
+                if choices and choices[-1] == len(stack) - 1:
                     choices.pop()
-                on_path.discard(keys.pop())
-                units.pop()
-                unit_pos.pop()
-                input_pos.pop()
-                discovery_marks.pop()
-                trail_marks.pop()
+                on_path.discard(stack.pop()[0])
                 discovery.pop()
             elif entry[0] is _POP:
-                _, key, producers, pos, at, mark, trail_mark, added = entry
+                _, frame, added = entry
                 if added:
                     resolved.difference_update(trail[-added:])
                     del trail[-added:]
-                if pos + 1 < len(producers):
-                    choices.append(len(keys))
-                on_path.add(key)
-                keys.append(key)
-                units.append(producers)
-                unit_pos.append(pos)
-                input_pos.append(at)
-                discovery_marks.append(mark)
-                trail_marks.append(trail_mark)
+                if frame[2] + 1 < len(frame[1]):
+                    choices.append(len(stack))
+                on_path.add(frame[0])
+                stack.append(frame)
             else:
-                (
-                    _, top, at, cut_keys, cut_units, cut_unit_pos, cut_input_pos,
-                    cut_discovery_marks, cut_trail_marks, cut_discovery, cut_trail,
-                ) = entry
+                _, top, at, cut, cut_discovery, cut_trail = entry
                 discovery.pop()
                 discovery.extend(cut_discovery)
                 trail.extend(cut_trail)
                 resolved.update(cut_trail)
-                on_path.update(cut_keys)
-                keys.extend(cut_keys)
-                units.extend(cut_units)
-                unit_pos.extend(cut_unit_pos)
-                input_pos.extend(cut_input_pos)
-                discovery_marks.extend(cut_discovery_marks)
-                trail_marks.extend(cut_trail_marks)
+                on_path.update(cut_frame[0] for cut_frame in cut)
+                stack.extend(cut)
                 if not choices or choices[-1] != top:
                     choices.append(top)
-                unit_pos[top] -= 1
-                input_pos[top] = at
+                frame = stack[top]
+                frame[2] -= 1
+                frame[3] = at
     return None, max_depth, calls
 
 

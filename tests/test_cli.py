@@ -366,14 +366,19 @@ class TestRun:
         assert "cannot read" in capsys.readouterr().err
 
 
-def run_foon_process(*args, python_flags=()):
-    """Run the CLI in its own process; returns (exit code, stderr)."""
-    env = dict(os.environ)
+def _process_env(**extra):
+    """This environment plus ``extra``, with the checkout's ``src`` on the path."""
+    env = dict(os.environ, **extra)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_foon_process(*args, python_flags=()):
+    """Run the CLI in its own process; returns (exit code, stderr)."""
     result = subprocess.run(
         [sys.executable, *python_flags, "-m", "foon.cli", *args],
-        env=env,
+        env=_process_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -404,6 +409,68 @@ class TestInputWarnings:
             " defaulting to 1.0",
             f"{paths['goals']}: warning: duplicate goal 'drinking glass'",
         ]
+
+
+class TestStandardOutput:
+    """What stdout cannot take ends in no traceback and no lost report."""
+
+    def _args(self, paths, tmp_path):
+        return [
+            sys.executable, "-m", "foon.cli", "run",
+            "--foon", str(paths["foon"]),
+            "--kitchen", str(paths["kitchen"]),
+            "--goals", str(paths["goals"]),
+            "--out-dir", str(tmp_path / "out"),
+            "--report", str(tmp_path / "report.json"),
+        ]
+
+    def test_label_stdout_cannot_encode_prints_escaped(self, tmp_path):
+        paths = write_demo_dataset(tmp_path / "dataset")
+        paths["foon"].write_text(
+            "//\nO pitcher\nS contains {water}\nM pour\nO yolk \u2603\nS raw\n//\n",
+            encoding="utf-8",
+        )
+        paths["goals"].write_text(
+            '[{"label": "yolk \u2603", "states": ["raw"]}]', encoding="utf-8"
+        )
+        result = subprocess.run(
+            self._args(paths, tmp_path),
+            env=_process_env(PYTHONIOENCODING="ascii"),
+            capture_output=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        lines = result.stdout.decode("ascii").splitlines()
+        assert len(lines) == 1 + len(ALGORITHMS)
+        assert all(line.startswith("yolk \\u2603  ") for line in lines[1:])
+
+    def test_closed_stdout_is_a_write_error_and_the_report_is_written(self, tmp_path):
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=TWO_GOALS)
+        # A pipe with no reader: the first write to stdout fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                self._args(paths, tmp_path),
+                env=_process_env(),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "error: cannot write standard output: Broken pipe"
+        ]
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert [(row["goal_label"], row["algorithm"]) for row in rows] == [
+            (goal, algorithm)
+            for goal in ("drinking glass", "ice")
+            for algorithm in ALGORITHMS
+        ]
+        assert all(row["status"] == SOLVED and not row["error"] for row in rows)
 
 
 class TestUsageErrors:

@@ -72,6 +72,39 @@ def detour_chain(length=60, every=10, detour=3):
     return build_graph(units), Kitchen.from_nodes(items[:1]), items[-1]
 
 
+def side_output():
+    """The goal needs ``x``, then a 4-unit chain from the kitchen. ``x``'s
+    first producer needs ``d`` and then ``t``, which needs ``m`` two levels
+    down. At bound 5, ``d``'s first producer (a 2-unit chain) runs out of
+    depth, and its second also outputs ``m``, so ``x`` resolves; then the
+    goal's chain runs out of depth. At bound 6 the chain under ``d`` fits,
+    ``m`` must be made one level too deep, and the search backtracks into
+    ``x``, a frame resolved after bound 5's first cutoff: ``x``'s second
+    producer takes one kitchen item, and the goal is solved at bound 6."""
+    kitchen = [obj("flour"), obj("salt")]
+    flour, salt = kitchen
+    goal, x, d, t, t2, m, a, c1, c2, f1, f2, f3, f4 = map(
+        obj, "goal x d t t2 m a c1 c2 f1 f2 f3 f4".split()
+    )
+    units = [
+        unit([x, f1], "finish", [goal]),
+        unit([d, t], "assemble", [x]),
+        unit([salt], "shortcut", [x]),
+        unit([c1], "long way", [d]),
+        unit([a], "split", [d, m]),
+        unit([c2], "step", [c1]),
+        unit([flour], "step", [c2]),
+        unit([flour], "grind", [a]),
+        unit([t2], "wrap", [t]),
+        unit([m], "fold", [t2]),
+        unit([f2], "knead", [f1]),
+        unit([f3], "knead", [f2]),
+        unit([f4], "knead", [f3]),
+        unit([flour], "knead", [f4]),
+    ]
+    return build_graph(units), Kitchen.from_nodes(kitchen), goal
+
+
 class TestHeuristicSelect:
     def test_highest_success_rate_wins(self):
         a = unit([obj("x")], "m1", [obj("g")], index=0, rate=0.9)
@@ -361,8 +394,8 @@ class TestIdsSearch:
 
     @pytest.mark.parametrize(
         "instance, solved_at",
-        [(long_chain(300), 301), (trap(), 17), (detour_chain(), 61)],
-        ids=["long_chain", "trap", "detour_chain"],
+        [(long_chain(300), 301), (trap(), 17), (detour_chain(), 61), (side_output(), 6)],
+        ids=["long_chain", "trap", "detour_chain", "side_output"],
     )
     def test_deep_choice_points_match_the_snapshot_reference(self, instance, solved_at):
         # Each cap below the solving bound fails every pass and restores
