@@ -141,7 +141,7 @@ def _run_goals(args, algorithms) -> list[ReportRow]:
     except OSError as exc:
         raise FoonError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
     rows: list[ReportRow] = []
-    # One memo for the run: each distinct node, unit and tree renders once.
+    # One memo for the run: each distinct node and unit renders once.
     memo = RenderMemo()
     for goal, slug in zip(goals, _assign_slugs(goals)):
         for algorithm in algorithms:
@@ -175,15 +175,21 @@ def _run_goals(args, algorithms) -> list[ReportRow]:
                     final_depth_bound=outcome.stats.final_depth_bound,
                 )
             )
-        # Repeated trees come from one goal's algorithms.
-        memo.forget_trees()
     return rows
 
 
 def _render_columns(headers: tuple[str, ...], cells: list[tuple[str, ...]]) -> str:
-    """Left-aligned columns, two spaces apart, no trailing blanks."""
-    widths = [max(len(v) for v in column) for column in zip(headers, *cells)]
-    lines = [headers, *cells]
+    """Left-aligned columns, two spaces apart, no trailing blanks.
+
+    A character stdout cannot encode is written as a backslash escape before
+    the widths are taken, so every row keeps its columns aligned.
+    """
+    enc = getattr(sys.stdout, "encoding", None) or "utf-8"
+    lines = [
+        tuple(v.encode(enc, "backslashreplace").decode(enc) for v in line)
+        for line in (headers, *cells)
+    ]
+    widths = [max(len(v) for v in column) for column in zip(*lines)]
     return "\n".join(
         "  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip() for line in lines
     )
@@ -209,22 +215,21 @@ def format_pivot(rows: list[ReportRow]) -> str:
     """Goal-by-algorithm table of functional-unit counts, one row per goal
     entry in goal order ('-' when the search or the tree write failed).
 
-    Rows come goal by goal, so a goal entry ends where the label changes or
-    an algorithm repeats: two goals that share a label keep a row each.
+    ``bench`` runs every algorithm for each goal entry, in ``ALGORITHMS``
+    order, so each run of ``len(ALGORITHMS)`` rows is one goal entry: two
+    goals that share a label keep a row each.
     """
-    entries: list[tuple[str, dict[str, str]]] = []
-    for row in rows:
-        if not entries or entries[-1][0] != row.goal_label or row.algorithm in entries[-1][1]:
-            entries.append((row.goal_label, {}))
-        failed = row.functional_unit_count is None or row.error
-        entries[-1][1][row.algorithm] = "-" if failed else str(row.functional_unit_count)
-
-    headers = ("goal", *ALGORITHMS)
+    size = len(ALGORITHMS)
     cells = [
-        (goal,) + tuple(counts.get(algo, "-") for algo in ALGORITHMS)
-        for goal, counts in entries
+        (rows[start].goal_label,)
+        + tuple(
+            "-" if row.functional_unit_count is None or row.error
+            else str(row.functional_unit_count)
+            for row in rows[start : start + size]
+        )
+        for start in range(0, len(rows), size)
     ]
-    return _render_columns(headers, cells)
+    return _render_columns(("goal", *ALGORITHMS), cells)
 
 
 def _write_report(rows: list[ReportRow], path: str) -> None:
@@ -320,9 +325,6 @@ def main(argv=None) -> int:
     else:
         algorithms = tuple(ALGORITHMS)
 
-    # A label stdout cannot encode prints escaped, as it would on stderr.
-    if hasattr(sys.stdout, "reconfigure"):
-        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         rows = _run_goals(args, algorithms)
         text = format_table(rows)

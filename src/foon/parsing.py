@@ -40,7 +40,8 @@ ingredients sorted lexicographically and attached to the first state line
 (or to a state-less ``S {a,b}`` line when the object has no states), LF
 line endings. Parsing serialized output and serializing again is
 byte-identical. A :class:`RenderMemo` passed to every call of one run makes
-each distinct node, unit and tree render once, with the same output.
+each distinct node and unit render once, with the same output; every tree
+is joined from those pieces.
 """
 
 from __future__ import annotations
@@ -381,39 +382,20 @@ class RenderMemo:
 
     Pass one memo to every :func:`serialize_task_tree` and
     :func:`export_dot` call of a run; the output is the same as without it.
-    Each map is keyed by exactly what its text depends on:
+    Each map is keyed by exactly what its text depends on, so none ever
+    needs clearing, and every tree is joined from these pieces:
 
     * ``nodes``: node key -> the node's O/S lines
     * ``units``: (input keys, motion label, output keys) -> the unit's
       block. Not the unit signature, which sorts the keys and so would merge
       units whose objects are written in a different order.
     * ``dot_nodes``: node key -> (DOT identifier, declaration line)
-    * ``trees``: (kind, the tree's unit keys) -> the whole ``.txt`` or
-      ``.dot`` text. :meth:`forget_trees` empties it; repeats come from one
-      goal's algorithms, so a caller may drop it after each goal.
     """
 
     def __init__(self):
         self.nodes: dict[NodeKey, str] = {}
         self.units: dict[tuple, str] = {}
         self.dot_nodes: dict[NodeKey, tuple[str, str]] = {}
-        self.trees: dict[tuple, str] = {}
-
-    def tree_text(self, kind: str, steps, render) -> str:
-        """The ``kind`` text of ``steps``: memoized, else ``render(steps, self)``."""
-        key = (kind, *map(_unit_key, steps))
-        text = self.trees.get(key)
-        if text is None:
-            text = self.trees[key] = render(steps, self)
-        return text
-
-    def forget_trees(self) -> None:
-        """Drop the whole-tree texts and keep the node and unit pieces."""
-        self.trees.clear()
-
-
-def _unit_key(unit: FunctionalUnit) -> tuple:
-    return unit.input_keys, unit.motion.label, unit.output_keys
 
 
 def _state_text(state: StateDescriptor) -> str:
@@ -440,7 +422,7 @@ def _node_text(node: ObjectNode, memo: RenderMemo) -> str:
 
 
 def _unit_text(unit: FunctionalUnit, memo: RenderMemo) -> str:
-    key = _unit_key(unit)
+    key = unit.input_keys, unit.motion.label, unit.output_keys
     text = memo.units.get(key)
     if text is None:
         lines = ["//"]
@@ -467,10 +449,10 @@ def serialize_units(units, memo: RenderMemo | None = None) -> str:
 def serialize_task_tree(tree: TaskTree, memo: RenderMemo | None = None) -> str:
     """Render a task tree's steps, execution order first to last.
 
-    With a ``memo`` a tree already rendered in it is not rendered again.
+    ``memo`` reuses the node and unit texts of earlier calls (see
+    :class:`RenderMemo`).
     """
-    memo = RenderMemo() if memo is None else memo
-    return memo.tree_text("txt", tree.steps, serialize_units)
+    return serialize_units(tree.steps, memo)
 
 
 def _dot_escape(text: str) -> str:
@@ -492,16 +474,10 @@ def export_dot(source: FoonGraph | TaskTree, memo: RenderMemo | None = None) -> 
     Object nodes are boxes identified by their node key (so equal nodes
     merge); each unit's motion is its own ellipse. Render with any DOT
     tool, e.g. ``dot -Tpng out.dot -O``. ``memo`` reuses the node
-    declarations, and for a task tree the whole text, of earlier calls (see
-    :class:`RenderMemo`).
+    declarations of earlier calls (see :class:`RenderMemo`).
     """
     memo = RenderMemo() if memo is None else memo
-    if isinstance(source, TaskTree):
-        return memo.tree_text("dot", source.steps, _dot_text)
-    return _dot_text(source.units, memo)
-
-
-def _dot_text(units, memo: RenderMemo) -> str:
+    units = source.steps if isinstance(source, TaskTree) else source.units
     lines = ["digraph foon {"]
     declared: set[str] = set()
 

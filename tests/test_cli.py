@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -192,6 +193,53 @@ class TestRun:
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Seed 24 has nodes with several states, nodes with ingredients and
+        # keys with several producers; every pool node is a goal.
+        instance = random_instance(24)
+        assert any(len(node.states) > 1 for node in instance.pool)
+        assert any(node.ingredients for node in instance.pool)
+        produced = [n.key for unit in instance.graph.units for n in unit.outputs]
+        assert len(produced) > len(set(produced))
+        goals = [node_record(node) for node in instance.pool]
+        paths = write_instance(instance, tmp_path / "dataset", goals, {"mix": 0.5})
+        runs = []
+        for hash_seed in ("0", "1"):
+            out_dir, report = tmp_path / f"out-{hash_seed}", tmp_path / f"report-{hash_seed}.json"
+            result = subprocess.run(
+                [
+                    sys.executable, "-m", "foon.cli", "bench",
+                    "--foon", str(paths["foon"]),
+                    "--kitchen", str(paths["kitchen"]),
+                    "--goals", str(paths["goals"]),
+                    "--motion-rates", str(paths["rates"]),
+                    "--out-dir", str(out_dir),
+                    "--emit-dot",
+                    "--report", str(report),
+                ],
+                env=_process_env(PYTHONHASHSEED=hash_seed),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            # time_ms ends each line of the first table; the pivot has none.
+            table, pivot = result.stdout.split("\n\n")
+            rows = json.loads(report.read_text(encoding="utf-8"))["rows"]
+            for row in rows:
+                del row["elapsed_seconds"]
+            runs.append(
+                (
+                    result.returncode,
+                    [line.rsplit(None, 1)[0] for line in table.splitlines()],
+                    pivot,
+                    result.stderr,
+                    rows,
+                    {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())},
+                )
+            )
+        assert sum(name.endswith(".dot") for name in runs[0][-1]) > 20
+        assert runs[0] == runs[1]
 
     def test_jobs_flag_does_not_change_outputs(self, tmp_path):
         paths = write_demo_dataset(tmp_path / "dataset", goals_text=TWO_GOALS)
@@ -443,6 +491,57 @@ class TestStandardOutput:
         lines = result.stdout.decode("ascii").splitlines()
         assert len(lines) == 1 + len(ALGORITHMS)
         assert all(line.startswith("yolk \\u2603  ") for line in lines[1:])
+
+    def _snowman_dataset(self, tmp_path):
+        """The demo dataset with goals "yolk \u2603" and "tea", both from the pitcher."""
+        paths = write_demo_dataset(tmp_path / "dataset")
+        paths["foon"].write_text(
+            "".join(
+                f"//\nO pitcher\nS contains {{water}}\nM pour\nO {label}\nS raw\n"
+                for label in ("yolk \u2603", "tea")
+            )
+            + "//\n",
+            encoding="utf-8",
+        )
+        paths["goals"].write_text(
+            '[{"label": "yolk \u2603", "states": ["raw"]},'
+            ' {"label": "tea", "states": ["raw"]}]',
+            encoding="utf-8",
+        )
+        return paths
+
+    def test_escaped_label_keeps_table_columns_aligned(self, tmp_path):
+        paths = self._snowman_dataset(tmp_path)
+        args = self._args(paths, tmp_path)
+        args[args.index("run")] = "bench"
+        result = subprocess.run(
+            args,
+            env=_process_env(PYTHONIOENCODING="ascii"),
+            capture_output=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        tables = result.stdout.decode("ascii").split("\n\n")
+        assert len(tables) == 2
+        for table in tables:
+            header, *lines = table.splitlines()
+            assert lines
+            # Headers hold no blanks, so each word starts one column.
+            starts = [m.start() for m in re.finditer(r"\S+", header)][1:]
+            for line in lines:
+                for start in starts:
+                    assert line[start - 2 : start] == "  " and line[start] != " ", line
+        assert tables[1].splitlines()[1].startswith("yolk \\u2603  ")
+
+    def test_in_process_run_leaves_stdout_error_handler_alone(self, tmp_path):
+        paths = self._snowman_dataset(tmp_path)
+        with io.TextIOWrapper(io.BytesIO(), encoding="ascii") as stdout:
+            with contextlib.redirect_stdout(stdout):
+                code = run_cli(paths, tmp_path / "out")
+            stdout.flush()
+            assert code == 0
+            assert stdout.errors == "strict"
+            assert b"yolk \\u2603  " in stdout.buffer.getvalue()
 
     def test_closed_stdout_is_a_write_error_and_the_report_is_written(self, tmp_path):
         paths = write_demo_dataset(tmp_path / "dataset", goals_text=TWO_GOALS)

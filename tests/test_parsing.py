@@ -555,7 +555,6 @@ def _render_goals(graph, kitchen, goals, memo):
             assert serialize_task_tree(tree, memo) == serialize_task_tree(tree)
             assert export_dot(tree, memo) == export_dot(tree)
             rendered += 1
-        memo.forget_trees()
     return rendered
 
 
@@ -611,18 +610,16 @@ class TestRenderMemo:
             assert serialize_task_tree(tree, memo) == serialize_task_tree(tree)
             dot = export_dot(tree, memo)
             assert dot == export_dot(tree)
-            memo.forget_trees()
         assert 'label="say \\"hi\\"\\nin [a\\\\b]\\n{x\\"y}"' in dot
         assert 'label="cut \\\\ \\"fine\\""' in dot
 
-    def test_forgetting_trees_keeps_node_and_unit_text(self, chain):
+    def test_a_tree_rendered_twice_is_joined_from_node_and_unit_pieces(self, chain):
         graph, _, goal = chain
         tree = TaskTree(steps=graph.units, goal=goal.key)
         memo = RenderMemo()
-        serialize_task_tree(tree, memo)
-        export_dot(tree, memo)
-        assert len(memo.trees) == 2
-        memo.forget_trees()
-        assert not memo.trees
+        for _ in range(2):
+            assert serialize_task_tree(tree, memo) == serialize_task_tree(tree)
+            assert export_dot(tree, memo) == export_dot(tree)
+        assert vars(memo).keys() == {"nodes", "units", "dot_nodes"}
         assert len(memo.nodes) == len(memo.dot_nodes) == 3
         assert len(memo.units) == 2
