@@ -1,97 +1,10 @@
 """FOON graphs: text-format parsing and task-tree retrieval by search."""
 
-from .core import (
-    FoonError,
-    FoonGraph,
-    FunctionalUnit,
-    InvalidNodeError,
-    InvalidUnitError,
-    Kitchen,
-    MotionNode,
-    NodeKey,
-    ObjectNode,
-    StateDescriptor,
-    TaskTree,
-    ValidationReport,
-    build_graph,
-    node_key,
-    normalize,
-    reachable_oracle,
-    validate_tree,
-)
-from .parsing import (
-    FoonWarning,
-    ParseDiagnostic,
-    SchemaError,
-    apply_motion_rates,
-    export_dot,
-    parse_foon_text,
-    parse_goals,
-    parse_kitchen,
-    parse_motion_rates,
-    serialize_task_tree,
-    serialize_units,
-)
-from .search import (
-    ALGORITHMS,
-    DEPTH_EXHAUSTED,
-    INPUT_COUNT,
-    SOLVED,
-    SUCCESS_RATE,
-    UNSOLVABLE,
-    SearchConfig,
-    SearchOutcome,
-    SearchStats,
-    finalize_tree,
-    gbfs_search,
-    heuristic_select,
-    ids_search,
-    run_algorithm,
-)
+from . import core, parsing, search
+from .core import *
+from .parsing import *
+from .search import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "DEPTH_EXHAUSTED",
-    "FoonError",
-    "FoonGraph",
-    "FoonWarning",
-    "FunctionalUnit",
-    "INPUT_COUNT",
-    "InvalidNodeError",
-    "InvalidUnitError",
-    "Kitchen",
-    "MotionNode",
-    "NodeKey",
-    "ObjectNode",
-    "ParseDiagnostic",
-    "SOLVED",
-    "SUCCESS_RATE",
-    "SchemaError",
-    "SearchConfig",
-    "SearchOutcome",
-    "SearchStats",
-    "StateDescriptor",
-    "TaskTree",
-    "UNSOLVABLE",
-    "ValidationReport",
-    "apply_motion_rates",
-    "build_graph",
-    "export_dot",
-    "finalize_tree",
-    "gbfs_search",
-    "heuristic_select",
-    "ids_search",
-    "node_key",
-    "normalize",
-    "parse_foon_text",
-    "parse_goals",
-    "parse_kitchen",
-    "parse_motion_rates",
-    "reachable_oracle",
-    "run_algorithm",
-    "serialize_task_tree",
-    "serialize_units",
-    "validate_tree",
-]
+__all__ = core.__all__ + parsing.__all__ + search.__all__

@@ -9,10 +9,12 @@ documents, optionally motion success rates):
               goal-by-algorithm summary of functional-unit counts.
 
 Exit codes: 0 all goals solved, 1 usage, input or write error, 2 at least
-one goal unsolved. A failed tree or DOT write is recorded in its report
-row (and reads ``error`` in the table) and the run goes on; the exit code
-is still 1. So is a failed write to standard output, which still writes
-the report; a label stdout cannot encode prints with backslash escapes.
+one goal unsolved. Every input error and warning names its file; an input
+file may start with a UTF-8 byte-order mark. A failed tree or DOT write is
+recorded in its report row (and reads ``error`` in the table) and the run
+goes on; the exit code is still 1. So is a failed write to standard
+output, which still writes the report; a label stdout cannot encode prints
+with backslash escapes.
 """
 
 from __future__ import annotations
@@ -84,14 +86,17 @@ def slugify(label: str) -> str:
 def _assign_slugs(goals: list[ObjectNode]) -> list[str]:
     # A repeated slug gets _2, _3, ..., bumped past every slug already given
     # out, so it cannot take the stem of a label that itself ends in "_2".
+    # Each base resumes at its last suffix, as all below it are taken: O(n).
     slugs: list[str] = []
     taken: set[str] = set()
+    last_count: dict[str, int] = {}
     for goal in goals:
         base = slug = slugify(goal.label)
-        count = 1
+        count = last_count.get(base, 1)
         while slug in taken:
             count += 1
             slug = f"{base}_{count}"
+        last_count[base] = count
         taken.add(slug)
         slugs.append(slug)
     return slugs
@@ -99,16 +104,20 @@ def _assign_slugs(goals: list[ObjectNode]) -> list[str]:
 
 def _read_text(path: str, what: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise FoonError(f"cannot read {what} file {path}: {exc}") from exc
 
 
-def _report_warnings(path: str, call, *call_args):
-    """Return ``call(*call_args)``, printing its warnings as ``<path>: warning: ...``."""
+def _from_file(path: str, call, *call_args):
+    """Return ``call(*call_args)`` on input read from ``path``: its warnings
+    print as ``<path>: warning: ...`` and its FoonError reads ``<path>: ...``."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", FoonWarning)
-        result = call(*call_args)
+        try:
+            result = call(*call_args)
+        except FoonError as exc:
+            raise FoonError(f"{path}: {exc}") from exc
     for caught_warning in caught:
         print(f"{path}: warning: {caught_warning.message}", file=sys.stderr)
     return result
@@ -124,12 +133,13 @@ def load_inputs(args) -> tuple[FoonGraph, Kitchen, list[ObjectNode]]:
         raise FoonError(f"{args.foon}: FOON text did not parse")
 
     if args.motion_rates:
-        rates = parse_motion_rates(_read_text(args.motion_rates, "motion rates"))
-        units = _report_warnings(args.motion_rates, apply_motion_rates, units, rates)
+        text = _read_text(args.motion_rates, "motion rates")
+        rates = _from_file(args.motion_rates, parse_motion_rates, text)
+        units = _from_file(args.motion_rates, apply_motion_rates, units, rates)
 
-    graph = build_graph(units)
-    kitchen = parse_kitchen(_read_text(args.kitchen, "kitchen"))
-    goals = _report_warnings(args.goals, parse_goals, _read_text(args.goals, "goals"))
+    graph = _from_file(args.foon, build_graph, units)
+    kitchen = _from_file(args.kitchen, parse_kitchen, _read_text(args.kitchen, "kitchen"))
+    goals = _from_file(args.goals, parse_goals, _read_text(args.goals, "goals"))
     return graph, kitchen, goals
 
 

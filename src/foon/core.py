@@ -25,6 +25,26 @@ function of the graph and that kitchen.
 
 from __future__ import annotations
 
+__all__ = [
+    "FoonError",
+    "FoonGraph",
+    "FunctionalUnit",
+    "InvalidNodeError",
+    "InvalidUnitError",
+    "Kitchen",
+    "MotionNode",
+    "NodeKey",
+    "ObjectNode",
+    "StateDescriptor",
+    "TaskTree",
+    "ValidationReport",
+    "build_graph",
+    "node_key",
+    "normalize",
+    "reachable_oracle",
+    "validate_tree",
+]
+
 import heapq
 import json
 from collections import deque
@@ -121,7 +141,8 @@ class ObjectNode:
 
 
 def node_key(node: ObjectNode) -> NodeKey:
-    """Canonical identity of an object node (see :attr:`ObjectNode.key`)."""
+    """Canonical identity of an object node; read :attr:`ObjectNode.key` instead.
+    Kept only for its last caller, ``perfbench/libpass.py``."""
     return node.key
 
 
@@ -368,9 +389,6 @@ class TaskTree:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 @dataclass(frozen=True)

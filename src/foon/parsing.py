@@ -46,6 +46,20 @@ is joined from those pieces.
 
 from __future__ import annotations
 
+__all__ = [
+    "FoonWarning",
+    "ParseDiagnostic",
+    "SchemaError",
+    "apply_motion_rates",
+    "export_dot",
+    "parse_foon_text",
+    "parse_goals",
+    "parse_kitchen",
+    "parse_motion_rates",
+    "serialize_task_tree",
+    "serialize_units",
+]
+
 import hashlib
 import json
 import numbers

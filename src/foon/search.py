@@ -35,6 +35,23 @@ tree-shaped recipes), trim after the last goal producer, and validate once.
 
 from __future__ import annotations
 
+__all__ = [
+    "ALGORITHMS",
+    "DEPTH_EXHAUSTED",
+    "INPUT_COUNT",
+    "SOLVED",
+    "SUCCESS_RATE",
+    "UNSOLVABLE",
+    "SearchConfig",
+    "SearchOutcome",
+    "SearchStats",
+    "finalize_tree",
+    "gbfs_search",
+    "heuristic_select",
+    "ids_search",
+    "run_algorithm",
+]
+
 import time
 from collections import deque
 from dataclasses import dataclass

@@ -25,7 +25,6 @@ from foon import (
     gbfs_search,
     heuristic_select,
     ids_search,
-    node_key,
     parse_foon_text,
     reachable_oracle,
     serialize_units,
@@ -81,7 +80,7 @@ def test_c2_ids_matches_reachability_oracle(corpus):
         start = time.perf_counter()
         config = SearchConfig(max_depth=100)
         for instance in corpus:
-            goal_key = node_key(instance.goal)
+            goal_key = instance.goal.key
             expected = reachable_oracle(instance.graph, instance.kitchen, goal_key)
             outcome = ids_search(instance.graph, instance.kitchen, instance.goal, config)
             assert outcome.solved == expected
@@ -94,7 +93,7 @@ def test_c2_ids_matches_reachability_oracle(corpus):
 def test_c3_gbfs_soundness(corpus):
     with criterion(3, "GBFS successes are valid and oracle-reachable"):
         for instance in corpus:
-            goal_key = node_key(instance.goal)
+            goal_key = instance.goal.key
             for heuristic in (SUCCESS_RATE, INPUT_COUNT):
                 outcome = gbfs_search(
                     instance.graph,

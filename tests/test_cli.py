@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from foon import (
     build_graph,
     export_dot,
     ids_search,
-    node_key,
     parse_foon_text,
     parse_goals,
     parse_kitchen,
@@ -139,7 +139,7 @@ class TestRun:
             rebuilt = build_graph(units)
             # the written tree's goal is the last unit's first output
             tree = TaskTree(
-                steps=rebuilt.units, goal=node_key(rebuilt.units[-1].outputs[0])
+                steps=rebuilt.units, goal=rebuilt.units[-1].outputs[0].key
             )
             assert validate_tree(kitchen, tree).ok
             assert (out_dir / f"drinking_glass_{algorithm}.dot").exists()
@@ -412,6 +412,96 @@ class TestRun:
         demo_dataset["foon"].write_bytes(b"//\nO caf\xff\nM pour\nO x\n//\n")
         assert run_cli(demo_dataset, tmp_path / "out") == 1
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Every input error names its file; a leading UTF-8 BOM is not text."""
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("kitchen", '[{"states": []}]', 'kitchen entry 0: missing "label"'),
+            ("goals", "{}", "goals: expected a list of object records"),
+            ("rates", "not json", "motion rates: not valid JSON: "),
+            ("rates", '{"pour": 2}', "motion rates: motion 'pour': success rate 2"),
+            ("foon", "//\nO cup\nM rinse\n//\n", "unit 0: no output nodes"),
+        ],
+        ids=["kitchen", "goals", "rates-json", "rates-range", "foon"],
+    )
+    def test_error_names_its_file(self, demo_dataset, tmp_path, capsys, name, text, message):
+        demo_dataset[name].write_text(text, encoding="utf-8")
+        rates = ("--motion-rates", str(demo_dataset["rates"]))
+        assert run_cli(demo_dataset, tmp_path / "out", *rates) == 1
+        # Warnings about the other inputs may come first.
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith(f"error: {demo_dataset[name]}: {message}")
+
+    def test_inputs_with_a_byte_order_mark_read_as_without(self, tmp_path, capsys):
+        instance = random_instance(24)
+        goals = [node_record(node) for node in instance.pool]
+        paths = write_instance(
+            instance, tmp_path / "dataset", goals + goals[:1], {"mix": 0.5}
+        )
+        runs = []
+        for bom in ("", "\ufeff"):
+            if bom:
+                for path in paths.values():
+                    path.write_text(bom + path.read_text(encoding="utf-8"), encoding="utf-8")
+            out_dir, report = tmp_path / f"out{len(bom)}", tmp_path / f"report{len(bom)}.json"
+            code = run_cli(
+                paths, out_dir, "--motion-rates", str(paths["rates"]),
+                "--emit-dot", "--report", str(report),
+            )
+            captured = capsys.readouterr()
+            rows = json.loads(report.read_text(encoding="utf-8"))["rows"]
+            for row in rows:
+                del row["elapsed_seconds"]
+            runs.append(
+                (
+                    code,
+                    [line.rsplit(None, 1)[0] for line in captured.out.splitlines()],
+                    captured.err,
+                    rows,
+                    {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())},
+                )
+            )
+        assert paths["foon"].read_bytes().startswith(b"\xef\xbb\xbf")
+        assert "warning: duplicate goal" in runs[0][2]
+        assert sum(name.endswith(".dot") for name in runs[0][-1]) > 20
+        assert runs[0] == runs[1]
+
+
+def _assign_slugs_by_rescanning(goals):
+    """The slug loop before it resumed each base at its last suffix."""
+    slugs = []
+    taken = set()
+    for goal in goals:
+        base = slug = slugify(goal.label)
+        count = 1
+        while slug in taken:
+            count += 1
+            slug = f"{base}_{count}"
+        taken.add(slug)
+        slugs.append(slug)
+    return slugs
+
+
+class TestAssignSlugs:
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(["a", "a_2", "a_2_2", "a b", "a_b", "c.1", "c_1"])))
+    def test_matches_the_rescanning_loop(self, labels):
+        goals = [ObjectNode(label) for label in labels]
+        slugs = _assign_slugs(goals)
+        assert slugs == _assign_slugs_by_rescanning(goals)
+        assert len(set(slugs)) == len(slugs)
+
+    def test_many_repeats_of_one_label_take_linear_time(self):
+        goals = [ObjectNode("tea")] * 20_000
+        begin = time.perf_counter()
+        slugs = _assign_slugs(goals)
+        assert time.perf_counter() - begin < 2.0
+        assert slugs[:3] == ["tea", "tea_2", "tea_3"]
+        assert slugs[-1] == "tea_20000"
 
 
 def _process_env(**extra):

@@ -1,8 +1,10 @@
 import dataclasses
+import inspect
 import random
 
 import pytest
 
+import foon
 from foon import (
     InvalidNodeError,
     InvalidUnitError,
@@ -31,22 +33,22 @@ class TestNodeKey:
     def test_case_and_whitespace_insensitive(self):
         left = obj("Drinking Glass", ["empty"])
         right = ObjectNode("drinking  glass", frozenset({StateDescriptor("EMPTY")}))
-        assert node_key(left) == node_key(right)
+        assert left.key == right.key
 
     def test_state_and_ingredient_order_irrelevant(self):
         states = [("crushed",), ("frozen",), ("in", "bowl")]
         left = obj("ice", states, ["b", "a"])
         right = obj("ice", reversed(states), ["a", "b"])
-        assert node_key(left) == node_key(right)
+        assert left.key == right.key
 
     def test_container_distinguishes_nodes(self):
         in_bowl = obj("ice", [("in", "bowl")])
         in_glass = obj("ice", [("in", "drinking glass")])
-        assert node_key(in_bowl) != node_key(in_glass)
+        assert in_bowl.key != in_glass.key
 
     def test_structurally_different_content_gets_different_keys(self):
-        assert node_key(obj("a", ["b"])) != node_key(obj("a b"))
-        assert node_key(obj("a", [], ["b"])) != node_key(obj("a", ["b"]))
+        assert obj("a", ["b"]).key != obj("a b").key
+        assert obj("a", [], ["b"]).key != obj("a", ["b"]).key
 
     def test_parse_builds_each_distinct_node_once(self):
         units, diagnostics = parse_foon_text(
@@ -115,19 +117,19 @@ class TestBuildGraph:
 
 class TestProducers:
     def test_sample_output_is_produced(self, sample_unit, sample_graph):
-        produced = sample_graph.producers_of(node_key(sample_unit.outputs[0]))
+        produced = sample_graph.producers_of(sample_unit.outputs[0].key)
         assert [u.unit_index for u in produced] == [0]
 
     def test_input_only_node_has_no_producers(self, sample_unit, sample_graph):
         bucket = sample_unit.inputs[1]
-        assert sample_graph.producers_of(node_key(bucket)) == ()
+        assert sample_graph.producers_of(bucket.key) == ()
 
     def test_two_producers_listed_in_index_order(self):
         g = obj("g")
         u0 = unit([obj("a")], "mix", [g])
         u1 = unit([obj("b")], "pour", [g])
         graph = build_graph([u0, u1])
-        assert [u.unit_index for u in graph.producers_of(node_key(g))] == [0, 1]
+        assert [u.unit_index for u in graph.producers_of(g.key)] == [0, 1]
 
     def test_live_producers_skip_units_the_kitchen_cannot_feed(self):
         g = obj("g")
@@ -135,7 +137,7 @@ class TestProducers:
         live = unit([obj("a")], "pour", [g])
         graph = build_graph([dead, live])
         kitchen = Kitchen.from_nodes([obj("a")])
-        assert graph.live_producers(kitchen) == {node_key(g): (graph.units[1],)}
+        assert graph.live_producers(kitchen) == {g.key: (graph.units[1],)}
         assert graph.live_producers(Kitchen.from_nodes([])) == {}
 
     def test_live_producers_are_memoized_for_the_last_kitchen(self, chain):
@@ -223,51 +225,51 @@ class TestReachableOracle:
     def test_goal_already_in_kitchen(self):
         graph = build_graph([])
         kitchen = Kitchen.from_nodes([obj("a")])
-        assert reachable_oracle(graph, kitchen, node_key(obj("a")))
+        assert reachable_oracle(graph, kitchen, obj("a").key)
 
     def test_two_round_chain(self, chain):
         graph, kitchen, goal = chain
-        assert reachable_oracle(graph, kitchen, node_key(goal))
+        assert reachable_oracle(graph, kitchen, goal.key)
 
     def test_unproducible_goal(self, chain):
         graph, kitchen, _ = chain
-        assert not reachable_oracle(graph, kitchen, node_key(obj("nowhere")))
+        assert not reachable_oracle(graph, kitchen, obj("nowhere").key)
 
     def test_cycle_does_not_hang(self):
         a, b = obj("a"), obj("b")
         graph = build_graph([unit([a], "m1", [b]), unit([b], "m2", [a])])
-        assert not reachable_oracle(graph, Kitchen.from_nodes([]), node_key(a))
-        assert reachable_oracle(graph, Kitchen.from_nodes([b]), node_key(a))
+        assert not reachable_oracle(graph, Kitchen.from_nodes([]), a.key)
+        assert reachable_oracle(graph, Kitchen.from_nodes([b]), a.key)
 
 
 class TestValidateTree:
     def test_empty_tree_ok_iff_goal_in_kitchen(self):
         a = obj("a")
-        tree = TaskTree(steps=(), goal=node_key(a))
+        tree = TaskTree(steps=(), goal=a.key)
         assert validate_tree(Kitchen.from_nodes([a]), tree).ok
         assert not validate_tree(Kitchen.from_nodes([]), tree).ok
 
     def test_chain_in_order_is_ok(self, chain):
         graph, kitchen, goal = chain
-        tree = TaskTree(steps=graph.units, goal=node_key(goal))
+        tree = TaskTree(steps=graph.units, goal=goal.key)
         assert validate_tree(kitchen, tree).ok
 
     def test_reversed_chain_reports_unavailable_input(self, chain):
         graph, kitchen, goal = chain
-        tree = TaskTree(steps=tuple(reversed(graph.units)), goal=node_key(goal))
+        tree = TaskTree(steps=tuple(reversed(graph.units)), goal=goal.key)
         report = validate_tree(kitchen, tree)
         assert any("step 0" in v and "unavailable" in v for v in report.violations)
 
     def test_wrong_final_step_reported(self, chain):
         graph, kitchen, goal = chain
-        tree = TaskTree(steps=graph.units[:1], goal=node_key(goal))
+        tree = TaskTree(steps=graph.units[:1], goal=goal.key)
         report = validate_tree(kitchen, tree)
         assert "final step does not output the goal" in report.violations
 
     def test_duplicate_steps_reported(self, chain):
         graph, kitchen, goal = chain
         u1, u2 = graph.units
-        tree = TaskTree(steps=(u1, u1, u2), goal=node_key(goal))
+        tree = TaskTree(steps=(u1, u1, u2), goal=goal.key)
         report = validate_tree(kitchen, tree)
         assert any("duplicate" in v for v in report.violations)
 
@@ -316,4 +318,29 @@ def test_with_index_matches_replace_in_build_graph():
 def test_kitchen_deduplicates_by_key():
     kitchen = Kitchen.from_nodes([obj("Milk"), obj("milk "), obj("egg")])
     assert len(kitchen) == 2
-    assert node_key(obj("milk")) in kitchen
+    assert obj("milk").key in kitchen
+
+
+# Every name `foon` exported when its __init__ still listed them itself.
+PUBLIC_NAMES = """
+ALGORITHMS DEPTH_EXHAUSTED FoonError FoonGraph FoonWarning FunctionalUnit
+INPUT_COUNT InvalidNodeError InvalidUnitError Kitchen MotionNode NodeKey
+ObjectNode ParseDiagnostic SOLVED SUCCESS_RATE SchemaError SearchConfig
+SearchOutcome SearchStats StateDescriptor TaskTree UNSOLVABLE
+ValidationReport apply_motion_rates build_graph export_dot finalize_tree
+gbfs_search heuristic_select ids_search node_key normalize parse_foon_text
+parse_goals parse_kitchen parse_motion_rates reachable_oracle run_algorithm
+serialize_task_tree serialize_units validate_tree
+""".split()
+
+
+def test_each_public_name_is_declared_once_by_its_module():
+    modules = (foon.core, foon.parsing, foon.search)
+    assert sorted(foon.__all__) == PUBLIC_NAMES
+    assert len(set(foon.__all__)) == len(foon.__all__)
+    for name in foon.__all__:
+        (owner,) = [module for module in modules if name in module.__all__]
+        value = getattr(foon, name)
+        assert value is getattr(owner, name)
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ in (owner.__name__, "builtins"), name

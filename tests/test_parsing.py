@@ -19,7 +19,6 @@ from foon import (
     apply_motion_rates,
     build_graph,
     export_dot,
-    node_key,
     normalize,
     parse_foon_text,
     parse_goals,
@@ -310,7 +309,7 @@ class TestKitchenAndGoals:
         text = '[{"label": "ice", "states": ["crushed", "frozen", "in [bowl]"], "ingredients": []}]'
         kitchen = parse_kitchen(text)
         assert len(kitchen) == 1
-        assert node_key(sample_unit.inputs[2]) in kitchen
+        assert sample_unit.inputs[2].key in kitchen
 
     def test_state_strings_can_carry_ingredients(self):
         kitchen = parse_kitchen('[{"label": "bucket", "states": ["contains {ice}"]}]')
@@ -478,16 +477,16 @@ CANONICAL_SAMPLE = SAMPLE_UNIT_TEXT.replace("0 ", "O ")
 
 class TestSerialization:
     def test_sample_unit_serializes_to_canonical_text(self, sample_unit):
-        tree = TaskTree(steps=(sample_unit,), goal=node_key(sample_unit.outputs[0]))
+        tree = TaskTree(steps=(sample_unit,), goal=sample_unit.outputs[0].key)
         assert serialize_task_tree(tree) == CANONICAL_SAMPLE
 
     def test_empty_tree_is_empty_text(self):
-        tree = TaskTree(steps=(), goal=node_key(obj("a")))
+        tree = TaskTree(steps=(), goal=obj("a").key)
         assert serialize_task_tree(tree) == ""
 
     def test_two_step_tree_keeps_execution_order(self, chain):
         graph, _, goal = chain
-        tree = TaskTree(steps=graph.units, goal=node_key(goal))
+        tree = TaskTree(steps=graph.units, goal=goal.key)
         text = serialize_task_tree(tree)
         units, diagnostics = parse_foon_text(text)
         assert not diagnostics
@@ -539,7 +538,7 @@ class TestExportDot:
         assert sum("shape=box" in l for l in dot.splitlines()) == 3
 
     def test_accepts_task_tree(self, sample_unit):
-        tree = TaskTree(steps=(sample_unit,), goal=node_key(sample_unit.outputs[0]))
+        tree = TaskTree(steps=(sample_unit,), goal=sample_unit.outputs[0].key)
         assert "scoop and pour" in export_dot(tree)
 
 

@@ -16,7 +16,6 @@ from foon import (
     export_dot,
     heuristic_select,
     ids_search,
-    node_key,
     parse_foon_text,
     reachable_oracle,
     serialize_units,
@@ -62,9 +61,9 @@ def _canonical_key(node):
 
 @given(nodes, nodes)
 def test_node_key_is_a_congruence(left, right):
-    assert (left == right) == (node_key(left) == node_key(right))
+    assert (left == right) == (left.key == right.key)
     for node in (left, right):
-        assert node.key == node_key(node) == _canonical_key(node)
+        assert node.key == _canonical_key(node)
 
 
 @given(nodes)
@@ -74,13 +73,13 @@ def test_node_key_insensitive_to_case_whitespace_and_order(node):
         frozenset(sorted(node.states, key=repr, reverse=True)),
         frozenset(i.upper() for i in node.ingredients),
     )
-    assert node_key(scrambled) == node_key(node)
+    assert scrambled.key == node.key
 
 
 @given(instances)
 def test_producer_index_is_complete_and_exact(instance):
     graph = instance.graph
-    all_keys = graph.node_keys() | {node_key(n) for n in instance.pool}
+    all_keys = graph.node_keys() | {n.key for n in instance.pool}
     for key in all_keys:
         produced_by = graph.producers_of(key)
         for unit in produced_by:
@@ -104,7 +103,7 @@ def test_live_producers_are_exactly_those_the_oracle_can_feed(instance):
 
 @given(instances)
 def test_oracle_is_monotone_in_the_kitchen(instance):
-    goal = node_key(instance.goal)
+    goal = instance.goal.key
     small = instance.kitchen
     large = Kitchen.from_nodes(list(small.nodes) + instance.pool)
     if reachable_oracle(instance.graph, small, goal):

@@ -15,7 +15,6 @@ from foon import (
     gbfs_search,
     heuristic_select,
     ids_search,
-    node_key,
     reachable_oracle,
     validate_tree,
 )
@@ -135,7 +134,7 @@ class TestFinalizeTree:
     def test_reverses_discovery_order(self):
         u1 = unit([obj("a")], "m1", [obj("b")], index=0)
         u2 = unit([obj("b")], "m2", [obj("g")], index=1)
-        tree = finalize_tree([u2, u1], node_key(obj("g")), Kitchen.from_nodes([obj("a")]))
+        tree = finalize_tree([u2, u1], obj("g").key, Kitchen.from_nodes([obj("a")]))
         assert list(tree.steps) == [u1, u2]
 
     def test_deduplicates_keeping_earliest_execution_occurrence(self):
@@ -146,20 +145,20 @@ class TestFinalizeTree:
         u3 = unit([obj("b"), obj("c")], "m3", [obj("g")], index=2)
         u2_copy = unit([obj("a")], "m2", [obj("c")], index=7, rate=0.5)
         kitchen = Kitchen.from_nodes([obj("a")])
-        tree = finalize_tree([u3, u2, u1, u2_copy], node_key(obj("g")), kitchen)
+        tree = finalize_tree([u3, u2, u1, u2_copy], obj("g").key, kitchen)
         assert list(tree.steps) == [u2_copy, u1, u3]
 
     def test_empty_discovery(self):
         goal = obj("g")
-        tree = finalize_tree([], node_key(goal), Kitchen.from_nodes([goal]))
+        tree = finalize_tree([], goal.key, Kitchen.from_nodes([goal]))
         assert tree.steps == ()
         with pytest.raises(RuntimeError, match="empty tree"):
-            finalize_tree([], node_key(goal), Kitchen.from_nodes([]))
+            finalize_tree([], goal.key, Kitchen.from_nodes([]))
 
     def test_trims_after_last_goal_producer(self):
         u1 = unit([obj("a")], "m1", [obj("g")], index=0)
         u2 = unit([obj("g")], "m2", [obj("h")], index=1)
-        tree = finalize_tree([u1, u2], node_key(obj("g")), Kitchen.from_nodes([obj("a")]))
+        tree = finalize_tree([u1, u2], obj("g").key, Kitchen.from_nodes([obj("a")]))
         assert list(tree.steps) == [u1]
 
     def test_matches_the_three_pass_reference(self):
@@ -175,7 +174,7 @@ class TestFinalizeTree:
             rng = random.Random(seed)
             instance = random_instance(seed, acyclic=(seed % 3 == 0))
             graph, kitchen = instance.graph, instance.kitchen
-            goal = node_key(instance.goal)
+            goal = instance.goal.key
             lists = []
             for bound in range(len(graph) + 2):
                 found, _, discovery, _ = reference_depth_limited_search(
@@ -213,6 +212,7 @@ class TestIdsSearch:
         goal = obj("a")
         outcome = ids_search(graph, Kitchen.from_nodes([goal]), goal)
         assert outcome.status == SOLVED
+        assert outcome.tree  # a tree with no steps is still a tree
         assert outcome.tree.steps == ()
         assert outcome.stats.final_depth_bound == 1
 
@@ -439,6 +439,7 @@ class TestGbfsSearch:
         goal = obj("a")
         outcome = gbfs_search(graph, Kitchen.from_nodes([goal]), goal)
         assert outcome.status == SOLVED
+        assert outcome.tree  # a tree with no steps is still a tree
         assert outcome.tree.steps == ()
         assert outcome.stats.nodes_expanded == 0
 
@@ -462,7 +463,7 @@ class TestGbfsSearch:
         graph = build_graph([top, mid])
         outcome = gbfs_search(graph, Kitchen.from_nodes([]), g)
         assert outcome.status == UNSOLVABLE
-        assert outcome.missing_key == node_key(z)
+        assert outcome.missing_key == z.key
         assert outcome.tree is None
 
     def test_greedy_commitment_is_not_repaired(self):
@@ -474,7 +475,7 @@ class TestGbfsSearch:
         kitchen = Kitchen.from_nodes([obj("a")])
         outcome = gbfs_search(graph, kitchen, g, SearchConfig(heuristic=SUCCESS_RATE))
         assert outcome.status == UNSOLVABLE
-        assert outcome.missing_key == node_key(obj("missing"))
+        assert outcome.missing_key == obj("missing").key
 
     def test_circular_selection_is_a_failure_not_a_bogus_tree(self):
         a, b = obj("a"), obj("b")
