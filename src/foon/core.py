@@ -290,33 +290,41 @@ def forward_chain(
     ``kitchen_keys | made`` is the closure. A unit fires once each of its
     inputs is in the kitchen or made (availability only grows, so a ready
     unit stays ready). Units behind a missing input or a cycle never fire.
-    ``kitchen_keys`` is only read, never copied or mutated, so the pass
-    costs what the units cost, however large the kitchen. Unmet-input
-    counters keep it linear (Dowling & Gallier 1984).
+    ``kitchen_keys`` is only read, never copied or mutated. One scan in
+    position order fires each unit ready when reached, so a list already in
+    execution order costs one scan. Only a unit not ready then gets an
+    unmet-input counter (Dowling & Gallier 1984); once met, it joins a
+    min-heap that fires before the scan moves on, lowest position first.
     """
     waiting: dict[NodeKey, list[int]] = {}
-    unmet: list[int] = []
-    ready: list[int] = []  # ascending, so already a heap
-    for pos, unit in enumerate(units):
-        needs = set(unit.input_keys) - kitchen_keys
-        unmet.append(len(needs))
-        for key in needs:
-            waiting.setdefault(key, []).append(pos)
-        if not needs:
-            ready.append(pos)
+    unmet: dict[int, int] = {}
+    ready: list[int] = []
     fired: list[int] = []
     made: set[NodeKey] = set()
-    while ready:
-        pos = heapq.heappop(ready)
-        fired.append(pos)
-        for key in units[pos].output_keys:
-            if key in made or key in kitchen_keys:
-                continue
-            made.add(key)
-            for waiter in waiting.get(key, ()):
-                unmet[waiter] -= 1
-                if not unmet[waiter]:
-                    heapq.heappush(ready, waiter)
+    for scan, unit in enumerate(units):
+        for key in unit.input_keys:
+            if key not in made and key not in kitchen_keys:
+                needs = set(unit.input_keys) - kitchen_keys - made
+                unmet[scan] = len(needs)
+                for need in needs:
+                    waiting.setdefault(need, []).append(scan)
+                break
+        else:
+            pos = scan
+            while True:
+                fired.append(pos)
+                for key in units[pos].output_keys:
+                    if key in made or key in kitchen_keys:
+                        continue
+                    made.add(key)
+                    if key in waiting:
+                        for waiter in waiting.pop(key):
+                            unmet[waiter] -= 1
+                            if not unmet[waiter]:
+                                heapq.heappush(ready, waiter)
+                if not ready:
+                    break
+                pos = heapq.heappop(ready)
     return fired, made
 
 

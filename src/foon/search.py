@@ -18,18 +18,16 @@ next bound starts: a bound costs only the work done since the previous
 bound's first cutoff, so an n-unit chain takes time linear in n. A frame
 leaves the stack whole, so the log holds frames, not copies of their slots.
 Greedy best-first keeps a FIFO frontier of items to produce and commits to
-one producer per item, chosen by a heuristic, with no backtracking; a bad
-greedy commitment is reported as a failure.
+one producer per item, with no backtracking; a bad greedy commitment is
+reported as a failure. Its rule is :data:`HEURISTICS`: ``success_rate``
+prefers the unit whose motion has the highest success rate, ``input_count``
+the unit with the fewest inputs; ties go to the lowest unit index.
 
-Heuristics: ``success_rate`` prefers the unit whose motion has the highest
-success rate, ``input_count`` the unit with the fewest inputs; ties go to
-the lowest unit index.
-
-Units are discovered goal-first. Both searches end in
-:func:`finalize_tree`: reverse the discovery list, drop duplicates, order
-the steps by the same forward pass from the kitchen that finds the live
-producers (:func:`~foon.core.forward_chain`; a no-op for chain- and
-tree-shaped recipes), trim after the last goal producer, and validate once.
+Units are discovered goal-first. Both searches end in :func:`finalize_tree`:
+reverse the discovery list, drop duplicates, order the steps by the same
+forward pass from the kitchen that finds the live producers
+(:func:`~foon.core.forward_chain`, one scan when they are already in order),
+trim after the last goal producer, and validate once.
 :data:`ALGORITHMS` maps each algorithm name to its search call.
 """
 
@@ -430,7 +428,7 @@ def gbfs_search(
 
     A FIFO frontier starts with the goal key. Each dequeued item is skipped
     when already handled or in the kitchen; otherwise one producing unit is
-    committed via :func:`heuristic_select` and its inputs join the
+    committed by the :data:`HEURISTICS` rule and its inputs join the
     frontier. There is no backtracking: an item with no producers, or a
     selection that turns out not to be executable (circular commitments),
     fails the search even if another choice would have succeeded.
@@ -439,22 +437,23 @@ def gbfs_search(
     goal_key = goal.key
     start = time.perf_counter()
 
+    producers = graph.producers
+    kitchen_keys = kitchen.keys
+    rank = HEURISTICS[config.heuristic]
     frontier: deque[NodeKey] = deque([goal_key])
     visited: set[NodeKey] = set()
     discovery: list[FunctionalUnit] = []
-    expanded = 0
     missing: NodeKey | None = None
     while frontier:
         key = frontier.popleft()
-        if key in visited or key in kitchen:
+        if key in visited or key in kitchen_keys:
             continue
         visited.add(key)
-        expanded += 1
-        candidates = graph.producers_of(key)
+        candidates = producers.get(key)
         if not candidates:
             missing = key
             break
-        unit = heuristic_select(candidates, config.heuristic)
+        unit = candidates[0] if len(candidates) == 1 else min(candidates, key=rank)
         discovery.append(unit)
         frontier.extend(unit.input_keys)
 
@@ -472,7 +471,7 @@ def gbfs_search(
 
     elapsed = time.perf_counter() - start
     stats = SearchStats(
-        nodes_expanded=expanded,
+        nodes_expanded=len(visited),
         final_depth_bound=None,
         elapsed_seconds=elapsed,
     )

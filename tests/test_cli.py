@@ -15,6 +15,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import foon.cli
 from foon import (
     ALGORITHMS,
     SOLVED,
@@ -178,6 +179,32 @@ class TestRun:
         assert code == 0
         written = sorted(p.name for p in out_dir.iterdir())
         assert written == ["drinking_glass_gbfs_a.txt"]
+
+    @pytest.mark.parametrize(
+        "algorithm, expected",
+        [("all", ["live", "ids", "gbfs_a", "gbfs_b"]), ("gbfs-a", ["gbfs_a"])],
+    )
+    def test_live_index_is_built_before_the_first_search_and_only_for_ids(
+        self, demo_dataset, tmp_path, monkeypatch, algorithm, expected
+    ):
+        events = []
+        live_producers = foon.FoonGraph.live_producers
+        run_algorithm = foon.cli.run_algorithm
+
+        def spy_live(graph, kitchen):
+            # The first call builds the index; later ones reuse its memo.
+            if graph._live_memo is None:
+                events.append("live")
+            return live_producers(graph, kitchen)
+
+        def spy_run(name, *args):
+            events.append(name)
+            return run_algorithm(name, *args)
+
+        monkeypatch.setattr(foon.FoonGraph, "live_producers", spy_live)
+        monkeypatch.setattr(foon.cli, "run_algorithm", spy_run)
+        assert run_cli(demo_dataset, tmp_path / "out", "--algorithm", algorithm) == 0
+        assert events == expected
 
     def test_motion_rates_flag_accepted(self, demo_dataset, tmp_path):
         code = run_cli(

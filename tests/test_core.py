@@ -20,7 +20,7 @@ from foon import (
     validate_tree,
 )
 from foon.core import forward_chain
-from foon.search import ALGORITHMS, run_algorithm
+from foon.search import ALGORITHMS, finalize_tree, run_algorithm
 from tests.conftest import obj, unit
 from tests.forward_chain_reference import (
     reference_forward_chain,
@@ -170,14 +170,45 @@ def test_forward_chain_fires_the_earliest_ready_unit_first():
     assert forward_chain(units, set()) == ([], set())
 
 
-def test_forward_chain_and_validate_tree_match_the_mutating_reference():
+def _check_forward_chain(units, kitchen, seed) -> bool:
+    """``forward_chain`` against the reference; its firing order runs in order.
+
+    Returns whether a unit fired after a later one (it was deferred).
+    """
+    plain = set(kitchen.keys)
+    closure = set(kitchen.keys)
+    expected = reference_forward_chain(units, closure)
+    fired, made = forward_chain(units, plain)
+    assert fired == expected, seed
+    assert plain | made == closure, seed
+    assert not made & plain, seed
+    assert plain == kitchen.keys, seed
+    assert forward_chain(units, kitchen.keys) == (fired, made), seed
+    # A list already in execution order fires in list order, in one scan.
+    executable = [units[pos] for pos in fired]
+    assert forward_chain(executable, kitchen.keys) == (list(range(len(fired))), made), seed
+    return fired != sorted(fired)
+
+
+def test_forward_chain_and_validate_tree_match_the_mutating_reference(monkeypatch, layered):
     """Differential check on the randgen corpus, cyclic instances included.
 
-    The pass runs over each graph's units and over random unit samples with
-    repeats; the validator checks the trees the searches return and
-    shuffled, truncated and resampled step lists that mostly fail.
+    The pass runs over each graph's units, random unit samples with repeats,
+    shuffled unit lists with repeats, lists with units that output kitchen
+    keys or repeat an input key, and the reversed discovery lists of every
+    search, here and on a layered graph, where a unit often comes before
+    what feeds it and has to wait. The validator checks the trees the
+    searches return and shuffled, truncated and resampled step lists that
+    mostly fail.
     """
-    ok = failed = 0
+    discoveries = []
+
+    def spy_finalize(discovery, goal, kitchen):
+        discoveries.append(list(reversed(discovery)))
+        return finalize_tree(discovery, goal, kitchen)
+
+    monkeypatch.setattr(foon.search, "finalize_tree", spy_finalize)
+    ok = failed = deferred = 0
     for seed in range(400):
         rng = random.Random(seed)
         instance = random_instance(seed, acyclic=(seed % 3 == 0))
@@ -186,15 +217,7 @@ def test_forward_chain_and_validate_tree_match_the_mutating_reference():
         if graph.units:
             unit_lists.append(rng.choices(graph.units, k=rng.randint(1, 10)))
         for units in unit_lists:
-            plain = set(kitchen.keys)
-            closure = set(kitchen.keys)
-            expected = reference_forward_chain(units, closure)
-            fired, made = forward_chain(units, plain)
-            assert fired == expected, seed
-            assert plain | made == closure, seed
-            assert not made & plain, seed
-            assert plain == kitchen.keys, seed
-            assert forward_chain(units, kitchen.keys) == (fired, made), seed
+            _check_forward_chain(units, kitchen, seed)
 
         goal = instance.goal.key
         trees = [TaskTree(steps=(), goal=goal)]
@@ -218,7 +241,35 @@ def test_forward_chain_and_validate_tree_match_the_mutating_reference():
                 ok += 1
             else:
                 failed += 1
+
+        # Drawn after the validator's lists, so those stay as they were.
+        pool, stocked = instance.pool, list(kitchen.nodes) or instance.pool
+        odd = []
+        for _ in range(rng.randint(1, 4)):
+            inputs = rng.choices(pool, k=rng.randint(1, 3))
+            inputs += rng.choices(inputs, k=rng.randint(1, 2))
+            outputs = [rng.choice(stocked)] + rng.sample(pool, rng.randint(0, 2))
+            odd.append(unit(inputs, "mix", outputs))
+        shuffled = list(graph.units) + rng.choices(graph.units, k=len(graph.units) // 2)
+        rng.shuffle(shuffled)
+        mixed = list(graph.units) + odd
+        rng.shuffle(mixed)
+        for units in [shuffled, odd, mixed]:
+            _check_forward_chain(units, kitchen, seed)
+        for units in discoveries:
+            deferred += _check_forward_chain(units, kitchen, seed)
+        discoveries.clear()
     assert ok > 2000 and failed > 4000, (ok, failed)
+
+    # Searches on a layered graph share inputs across branches, so their
+    # reversed discovery lists often name a unit before what feeds it.
+    graph, kitchen, goals = layered
+    for goal in goals:
+        for algorithm in ALGORITHMS:
+            run_algorithm(algorithm, graph, kitchen, goal)
+    for units in discoveries:
+        deferred += _check_forward_chain(units, kitchen, "layered")
+    assert deferred >= 20, deferred
 
 
 class TestReachableOracle:

@@ -1,7 +1,9 @@
 import random
+from collections import deque
 
 import pytest
 
+import foon.search
 from foon import (
     DEPTH_EXHAUSTED,
     INPUT_COUNT,
@@ -18,7 +20,7 @@ from foon import (
     reachable_oracle,
     validate_tree,
 )
-from foon.search import _deepen
+from foon.search import HEURISTICS, _deepen
 from tests.conftest import obj, unit
 from tests.deepen_reference import reference_deepen
 from tests.finalize_reference import reference_finalize
@@ -496,6 +498,55 @@ class TestGbfsSearch:
             outcome = gbfs_search(graph, kitchen, g, SearchConfig(heuristic=heuristic))
             assert outcome.status == SOLVED
             assert validate_tree(kitchen, outcome.tree).ok
+
+    def test_each_commitment_is_heuristic_select_of_its_producers(self, monkeypatch):
+        """Differential check of every greedy choice on the randgen corpus.
+
+        A walk of the same FIFO frontier commits to
+        ``heuristic_select(graph.producers_of(key), mode)`` for each key; the
+        search must commit to the same units (its discovery list, as handed
+        to ``finalize_tree``), expand as many keys and stop at the same
+        missing key.
+        """
+        discoveries = []
+
+        def spy_finalize(discovery, goal, kitchen):
+            discoveries.append(list(discovery))
+            return finalize_tree(discovery, goal, kitchen)
+
+        monkeypatch.setattr(foon.search, "finalize_tree", spy_finalize)
+        choices = several = ties = 0
+        for seed in range(400):
+            instance = random_instance(seed, acyclic=(seed % 3 == 0))
+            graph, kitchen = instance.graph, instance.kitchen
+            for mode in (SUCCESS_RATE, INPUT_COUNT):
+                outcome = gbfs_search(
+                    graph, kitchen, instance.goal, SearchConfig(heuristic=mode)
+                )
+                committed, visited, missing = [], set(), None
+                frontier = deque([instance.goal.key])
+                while frontier:
+                    key = frontier.popleft()
+                    if key in visited or key in kitchen:
+                        continue
+                    visited.add(key)
+                    candidates = graph.producers_of(key)
+                    if not candidates:
+                        missing = key
+                        break
+                    committed.append(heuristic_select(candidates, mode))
+                    frontier.extend(committed[-1].input_keys)
+                    ranks = sorted(HEURISTICS[mode](u)[0] for u in candidates)
+                    several += len(ranks) > 1
+                    ties += len(ranks) > 1 and ranks[0] == ranks[1]
+                choices += len(committed)
+                assert outcome.missing_key == missing, (seed, mode)
+                assert outcome.stats.nodes_expanded == len(visited), (seed, mode)
+                if missing is None:
+                    assert discoveries.pop() == committed, (seed, mode)
+                assert not discoveries, (seed, mode)
+        # 884 choices, 702 among several producers, 201 of them ties.
+        assert choices > 800 and several > 600 and ties > 150, (choices, several, ties)
 
     def test_deterministic(self, chain):
         graph, kitchen, goal = chain
