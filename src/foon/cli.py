@@ -20,16 +20,14 @@ with backslash escapes.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
-from .core import FoonError, FoonGraph, Kitchen, ObjectNode, build_graph
+from .core import FoonError, FoonGraph, Kitchen, ObjectNode, _set, _Value, build_graph
 from .parsing import (
     ERROR,
     FoonWarning,
@@ -45,22 +43,22 @@ from .parsing import (
 from .search import ALGORITHMS, DEFAULT_MAX_DEPTH, SOLVED, run_algorithm
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(_Value):
     """One (goal, algorithm) result. ``reason``, ``missing_key`` and
     ``final_depth_bound`` come from the search outcome and are None where
     the search gives none; ``error`` is a failed tree or DOT write."""
 
-    goal_label: str
-    algorithm: str
-    status: str
-    functional_unit_count: int | None
-    nodes_expanded: int
-    elapsed_seconds: float
-    error: str | None
-    reason: str | None
-    missing_key: str | None
-    final_depth_bound: int | None
+    __slots__ = _fields = (
+        "goal_label", "algorithm", "status", "functional_unit_count", "nodes_expanded",
+        "elapsed_seconds", "error", "reason", "missing_key", "final_depth_bound")
+
+    def __init__(self, goal_label: str, algorithm: str, status: str,
+                 functional_unit_count: int | None, nodes_expanded: int,
+                 elapsed_seconds: float, error: str | None, reason: str | None,
+                 missing_key: str | None, final_depth_bound: int | None):
+        fields = locals()
+        for name in self._fields:
+            _set(self, name, fields[name])
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -79,6 +77,7 @@ def slugify(label: str) -> str:
     """
     slug = re.sub(r"[^a-z0-9_.-]+", "_", label.replace(" ", "_"))
     if len(slug) > 200:
+        import hashlib  # here, so that a run with short labels never loads it
         slug = f"{slug[:191]}_{hashlib.sha1(label.encode()).hexdigest()[:8]}"
     return slug
 
@@ -174,20 +173,13 @@ def _run_goals(args, algorithms) -> list[ReportRow]:
                 except FoonError as exc:
                     error = str(exc)
                     print(f"error: {error}", file=sys.stderr)
-            rows.append(
-                ReportRow(
-                    goal_label=goal.label,
-                    algorithm=algorithm,
-                    status=outcome.status,
-                    functional_unit_count=None if tree is None else len(tree.steps),
-                    nodes_expanded=outcome.stats.nodes_expanded,
-                    elapsed_seconds=outcome.stats.elapsed_seconds,
-                    error=error,
-                    reason=outcome.reason,
-                    missing_key=outcome.missing_key,
-                    final_depth_bound=outcome.stats.final_depth_bound,
-                )
-            )
+            units = None if tree is None else len(tree.steps)
+            stats = outcome.stats
+            rows.append(ReportRow(
+                goal.label, algorithm, outcome.status, units, stats.nodes_expanded,
+                stats.elapsed_seconds, error, outcome.reason, outcome.missing_key,
+                stats.final_depth_bound,
+            ))
     return rows
 
 
@@ -246,10 +238,8 @@ def format_pivot(rows: list[ReportRow]) -> str:
 
 
 def _write_report(rows: list[ReportRow], path: str) -> None:
-    # A row holds only str, int, float and None, so its own __dict__ (the
-    # fields in declaration order) serializes as dataclasses.asdict would,
-    # without a deep copy.
-    payload = {"rows": [vars(row) for row in rows]}
+    # Each row is the object of its fields (str, int, float or None), in order.
+    payload = {"rows": [{name: getattr(row, name) for name in row._fields} for row in rows]}
     _write_text(Path(path), json.dumps(payload, indent=2) + "\n")
 
 

@@ -17,10 +17,11 @@ Object identity is canonical: labels, states and ingredients are lowercased,
 trimmed and whitespace-collapsed, and two nodes are the same node exactly
 when their normalized content is equal. Each node computes its key, and
 each unit its input keys, output keys and signature, once on construction;
-there is no process-global cache. Everything here is immutable after
-construction and safe to share between searches; the one thing a graph
-remembers, its live-producer index for the last kitchen, is a pure
-function of the graph and that kitchen.
+there is no process-global cache. The value types are ``__slots__`` classes
+that set each field once in ``__init__``, compare by content and raise
+AttributeError on assignment, so they are safe to share between searches;
+the one thing a graph remembers, its live-producer index for the last
+kitchen, is a pure function of the graph and that kitchen.
 """
 
 from __future__ import annotations
@@ -46,14 +47,52 @@ __all__ = [
 ]
 
 import heapq
-import json
 from collections import deque
-from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 
 NodeKey = str
 
-# json.dumps(..., separators=(",", ":")) without building an encoder per call.
-_encode_key = json.JSONEncoder(separators=(",", ":")).encode
+# Sets a slot of a value under construction; assignment raises afterwards.
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable value types. ``_fields`` names the ``__init__``
+    parameters in order; ``__init__`` sets each slot once with ``_set``, and
+    a slot not in ``_fields`` is derived from them. Instances of one class
+    with equal fields are equal and hash as the tuple of their fields;
+    assigning or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # The fields as a tuple, read in C (attrgetter gives one field bare).
+        get = attrgetter(*cls._fields)
+        cls._values = get if len(cls._fields) > 1 else staticmethod(lambda v: (get(v),))
+        cls.__match_args__ = cls._fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class FoonError(Exception):
@@ -81,63 +120,56 @@ def normalize(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
-@dataclass(frozen=True, slots=True)
-class StateDescriptor:
+class StateDescriptor(_Value):
     """One state of an object, e.g. ``empty`` or ``in [bowl]``.
 
     ``relative_container`` holds the bracketed payload for states that are
     relative to another object. An empty container collapses to ``None``.
     """
 
-    label: str
-    relative_container: str | None = None
+    __slots__ = _fields = ("label", "relative_container")
 
-    def __post_init__(self):
-        label = normalize(self.label)
-        if not label:
+    def __init__(self, label: str, relative_container: str | None = None):
+        normalized = normalize(label)
+        if not normalized:
             raise InvalidNodeError("state label is empty after normalization")
-        container = None
-        if self.relative_container is not None:
-            container = normalize(self.relative_container) or None
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "relative_container", container)
+        if relative_container is not None:
+            relative_container = normalize(relative_container) or None
+        _set(self, "label", normalized)
+        _set(self, "relative_container", relative_container)
 
 
 def _state_sort_key(state: StateDescriptor) -> tuple[str, str]:
     return (state.label, state.relative_container or "")
 
 
-@dataclass(frozen=True, slots=True)
-class ObjectNode:
+class ObjectNode(_Value):
     """An object with a set of states and a set of contained ingredients.
 
     ``key`` is the node's canonical identity, computed once on
-    construction: a deterministic serialization of (label, sorted states,
-    sorted ingredients). Two nodes get equal keys exactly when their
-    normalized content is equal, regardless of state/ingredient order,
-    letter case or surrounding whitespace in the original text.
+    construction: the compact, ASCII-escaped JSON text of (label, sorted
+    states, sorted ingredients), joined from escaped strings. Two nodes get
+    equal keys exactly when their normalized content is equal, regardless of
+    state/ingredient order, letter case or surrounding whitespace.
     """
 
-    label: str
-    states: frozenset[StateDescriptor] = frozenset()
-    ingredients: frozenset[str] = frozenset()
-    key: NodeKey = field(init=False, compare=False, repr=False)
+    _fields = ("label", "states", "ingredients")
+    __slots__ = _fields + ("key",)
 
-    def __post_init__(self):
-        label = normalize(self.label)
-        if not label:
+    def __init__(self, label: str, states: frozenset[StateDescriptor] = frozenset(),
+                 ingredients: frozenset[str] = frozenset()):
+        normalized = normalize(label)
+        if not normalized:
             raise InvalidNodeError("object label is empty after normalization")
-        ingredients = frozenset(
-            filter(None, (normalize(i) for i in self.ingredients))
-        )
-        states = frozenset(self.states)
-        key = _encode_key(
-            [label, sorted(map(_state_sort_key, states)), sorted(ingredients)]
-        )
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "ingredients", ingredients)
-        object.__setattr__(self, "key", key)
+        states = frozenset(states)
+        ingredients = frozenset(filter(None, map(normalize, ingredients)))
+        ordered = sorted(map(_state_sort_key, states))
+        pairs = ",".join([f"[{_quote(s)},{_quote(c)}]" for s, c in ordered])
+        contents = ",".join(map(_quote, sorted(ingredients)))
+        _set(self, "label", normalized)
+        _set(self, "states", states)
+        _set(self, "ingredients", ingredients)
+        _set(self, "key", f"[{_quote(normalized)},[{pairs}],[{contents}]]")
 
 
 def node_key(node: ObjectNode) -> NodeKey:
@@ -146,27 +178,22 @@ def node_key(node: ObjectNode) -> NodeKey:
     return node.key
 
 
-@dataclass(frozen=True)
-class MotionNode:
+class MotionNode(_Value):
     """A named manipulation motion weighted with a success rate in [0, 1]."""
 
-    label: str
-    success_rate: float = 1.0
+    __slots__ = _fields = ("label", "success_rate")
 
-    def __post_init__(self):
-        label = normalize(self.label)
-        if not label:
+    def __init__(self, label: str, success_rate: float = 1.0):
+        normalized = normalize(label)
+        if not normalized:
             raise InvalidNodeError("motion label is empty after normalization")
-        if not 0.0 <= self.success_rate <= 1.0:
-            raise InvalidNodeError(
-                f"success rate {self.success_rate!r} outside [0, 1]"
-            )
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "success_rate", float(self.success_rate))
+        if not 0.0 <= success_rate <= 1.0:
+            raise InvalidNodeError(f"success rate {success_rate!r} outside [0, 1]")
+        _set(self, "label", normalized)
+        _set(self, "success_rate", float(success_rate))
 
 
-@dataclass(frozen=True, slots=True)
-class FunctionalUnit:
+class FunctionalUnit(_Value):
     """One recipe step: input objects, a single motion, output objects.
 
     ``input_keys`` and ``output_keys`` are the node keys of ``inputs`` and
@@ -177,56 +204,52 @@ class FunctionalUnit:
     the same step compare equal.
     """
 
-    inputs: tuple[ObjectNode, ...]
-    motion: MotionNode
-    outputs: tuple[ObjectNode, ...]
-    unit_index: int = 0
-    input_keys: tuple[NodeKey, ...] = field(init=False, compare=False, repr=False)
-    output_keys: tuple[NodeKey, ...] = field(init=False, compare=False, repr=False)
-    signature: tuple = field(init=False, compare=False, repr=False)
+    _fields = ("inputs", "motion", "outputs", "unit_index")
+    __slots__ = _fields + ("input_keys", "output_keys", "signature")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        input_keys = tuple(n.key for n in self.inputs)
-        output_keys = tuple(n.key for n in self.outputs)
-        signature = (
-            tuple(sorted(input_keys)), self.motion.label, tuple(sorted(output_keys))
-        )
-        object.__setattr__(self, "input_keys", input_keys)
-        object.__setattr__(self, "output_keys", output_keys)
-        object.__setattr__(self, "signature", signature)
+    def __init__(self, inputs: tuple[ObjectNode, ...], motion: MotionNode,
+                 outputs: tuple[ObjectNode, ...], unit_index: int = 0):
+        inputs, outputs = tuple(inputs), tuple(outputs)
+        input_keys = tuple([node.key for node in inputs])
+        output_keys = tuple([node.key for node in outputs])
+        signature = (tuple(sorted(input_keys)), motion.label, tuple(sorted(output_keys)))
+        self._fill(inputs, motion, outputs, unit_index, input_keys, output_keys, signature)
 
-    def with_motion(self, motion: MotionNode) -> "FunctionalUnit":
+    def _fill(self, inputs, motion, outputs, unit_index, input_keys, output_keys, signature):
+        _set(self, "inputs", inputs)
+        _set(self, "motion", motion)
+        _set(self, "outputs", outputs)
+        _set(self, "unit_index", unit_index)
+        _set(self, "input_keys", input_keys)
+        _set(self, "output_keys", output_keys)
+        _set(self, "signature", signature)
+
+    def with_motion(self, motion: MotionNode) -> FunctionalUnit:
         """This unit with ``motion`` in place of a motion of the same label.
 
         Copies the fields as they are: the keys and signature cannot change
         with the success rate, so they are not computed again.
         """
         if motion.label != self.motion.label:
-            raise ValueError(
-                f"motion {motion.label!r} does not match {self.motion.label!r}"
-            )
-        return self._with("motion", motion)
+            raise ValueError(f"motion {motion.label!r} does not match {self.motion.label!r}")
+        return self._with(motion, self.unit_index)
 
-    def with_index(self, unit_index: int) -> "FunctionalUnit":
+    def with_index(self, unit_index: int) -> FunctionalUnit:
         """This unit renumbered to ``unit_index``.
 
         Copies the fields as they are: the keys and signature do not depend
         on the index, so they are not computed again.
         """
-        return self._with("unit_index", unit_index)
+        return self._with(self.motion, unit_index)
 
-    def _with(self, name: str, value) -> "FunctionalUnit":
+    def _with(self, motion: MotionNode, unit_index: int) -> FunctionalUnit:
         unit = object.__new__(FunctionalUnit)
-        for slot in self.__slots__:
-            object.__setattr__(unit, slot, getattr(self, slot))
-        object.__setattr__(unit, name, value)
+        unit._fill(self.inputs, motion, self.outputs, unit_index, self.input_keys,
+                   self.output_keys, self.signature)
         return unit
 
 
-@dataclass(frozen=True)
-class FoonGraph:
+class FoonGraph(_Value):
     """Deduplicated unit store with a producer index.
 
     ``producers`` maps each node key to the units that output it, in
@@ -234,10 +257,13 @@ class FoonGraph:
     memo behind :meth:`live_producers`; build them with :func:`build_graph`.
     """
 
-    units: tuple[FunctionalUnit, ...] = ()
-    producers: dict[NodeKey, tuple[FunctionalUnit, ...]] = field(default_factory=dict)
-    # (kitchen keys, live producer index) of the last live_producers call.
-    _live_memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _fields = ("units", "producers")
+    __slots__ = _fields + ("_live_memo",)  # (kitchen keys, live index) of the last call
+
+    def __init__(self, units: tuple[FunctionalUnit, ...] = (), producers: dict | None = None):
+        _set(self, "units", units)
+        _set(self, "producers", {} if producers is None else producers)
+        _set(self, "_live_memo", None)
 
     def producers_of(self, key: NodeKey) -> tuple[FunctionalUnit, ...]:
         """Units whose outputs contain ``key``, in ascending unit_index order."""
@@ -265,16 +291,8 @@ class FoonGraph:
             fed = tuple(u for u in units if reachable.issuperset(u.input_keys))
             if fed:
                 live[key] = fed
-        object.__setattr__(self, "_live_memo", (kitchen.keys, live))
+        _set(self, "_live_memo", (kitchen.keys, live))
         return live
-
-    def node_keys(self) -> frozenset[NodeKey]:
-        """All distinct object-node keys appearing in the graph."""
-        keys: set[NodeKey] = set()
-        for unit in self.units:
-            keys.update(unit.input_keys)
-            keys.update(unit.output_keys)
-        return frozenset(keys)
 
     def __len__(self) -> int:
         return len(self.units)
@@ -356,26 +374,25 @@ def build_graph(units: list[FunctionalUnit] | tuple[FunctionalUnit, ...]) -> Foo
     return FoonGraph(units=tuple(kept), producers=index)
 
 
-@dataclass(frozen=True)
-class Kitchen:
+class Kitchen(_Value):
     """The set of object nodes available at the start of a task.
 
     Membership is by node key; the originating nodes are kept for
     reporting. Deduplicated on construction.
     """
 
-    nodes: tuple[ObjectNode, ...] = ()
-    keys: frozenset[NodeKey] = frozenset()
+    __slots__ = _fields = ("nodes", "keys")
+
+    def __init__(self, nodes: tuple[ObjectNode, ...] = (), keys: frozenset = frozenset()):
+        _set(self, "nodes", nodes)
+        _set(self, "keys", keys)
 
     @classmethod
-    def from_nodes(cls, nodes) -> "Kitchen":
-        kept: list[ObjectNode] = []
-        keys: set[NodeKey] = set()
+    def from_nodes(cls, nodes) -> Kitchen:
+        first: dict[NodeKey, ObjectNode] = {}
         for node in nodes:
-            if node.key not in keys:
-                keys.add(node.key)
-                kept.append(node)
-        return cls(nodes=tuple(kept), keys=frozenset(keys))
+            first.setdefault(node.key, node)
+        return cls(tuple(first.values()), frozenset(first))
 
     def __contains__(self, key: NodeKey) -> bool:
         return key in self.keys
@@ -384,24 +401,25 @@ class Kitchen:
         return len(self.keys)
 
 
-@dataclass(frozen=True)
-class TaskTree:
+class TaskTree(_Value):
     """Execution-ordered functional units satisfying a goal from a kitchen.
 
     Steps run leaves-first; the final step outputs the goal. Use
     :func:`validate_tree` to check feasibility.
     """
 
-    steps: tuple[FunctionalUnit, ...]
-    goal: NodeKey
+    __slots__ = _fields = ("steps", "goal")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(self, steps: tuple[FunctionalUnit, ...], goal: NodeKey):
+        _set(self, "steps", tuple(steps))
+        _set(self, "goal", goal)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...] = ()
+class ValidationReport(_Value):
+    __slots__ = _fields = ("violations",)
+
+    def __init__(self, violations: tuple[str, ...] = ()):
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

@@ -33,7 +33,8 @@ Kitchen and goal files are JSON lists of ``{"label": ..., "states": [...],
 "ingredients": [...]}`` records whose state strings use the same payload
 mini-grammar as S lines. Motion success rates come from a JSON object
 mapping motion label to a number; :class:`MotionNode` normalizes the label
-and checks that the rate lies in [0, 1].
+and checks that the rate lies in [0, 1]. JSON nested too deeply to decode
+is invalid JSON like any other: a :class:`SchemaError`.
 
 Serialization is canonical: states sorted by (label, container),
 ingredients sorted lexicographically and attached to the first state line
@@ -41,7 +42,7 @@ ingredients sorted lexicographically and attached to the first state line
 line endings. Parsing serialized output and serializing again is
 byte-identical. A :class:`RenderMemo` passed to every call of one run makes
 each distinct node and unit render once, with the same output; every tree
-is joined from those pieces.
+is joined from those pieces. ``hashlib`` is imported only to name DOT nodes.
 """
 
 from __future__ import annotations
@@ -60,12 +61,10 @@ __all__ = [
     "serialize_units",
 ]
 
-import hashlib
 import json
 import numbers
 import re
 import warnings
-from dataclasses import dataclass
 
 from .core import (
     FoonError,
@@ -78,7 +77,9 @@ from .core import (
     ObjectNode,
     StateDescriptor,
     TaskTree,
+    _set,
     _state_sort_key,
+    _Value,
 )
 
 WARNING = "warning"
@@ -93,13 +94,15 @@ class SchemaError(FoonError):
     """A kitchen, goal, or motion-rate document violates its schema."""
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(_Value):
     """A problem found while parsing FOON text, anchored to a source line."""
 
-    line_number: int
-    message: str
-    severity: str = ERROR
+    __slots__ = _fields = ("line_number", "message", "severity")
+
+    def __init__(self, line_number: int, message: str, severity: str = ERROR):
+        _set(self, "line_number", line_number)
+        _set(self, "message", message)
+        _set(self, "severity", severity)
 
     def __str__(self) -> str:
         return f"line {self.line_number}: {self.severity}: {self.message}"
@@ -197,7 +200,7 @@ def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnost
                 states.add(state)
             ingredients.update(extra)
         try:
-            node = ObjectNode(payloads[0], frozenset(states), frozenset(ingredients))
+            node = ObjectNode(payloads[0], states, ingredients)
         except InvalidNodeError as exc:
             error(lines[0], str(exc))
             return None
@@ -270,7 +273,7 @@ def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnost
 def _parse_node_records(text: str, what: str) -> list[ObjectNode]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise SchemaError(f"{what}: not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise SchemaError(f"{what}: expected a list of object records")
@@ -315,7 +318,7 @@ def _parse_node_records(text: str, what: str) -> list[ObjectNode]:
                 raise SchemaError(f'{where}: "ingredients" must be a list of strings')
             ingredients.add(ing)
         try:
-            nodes.append(ObjectNode(label, frozenset(states), frozenset(ingredients)))
+            nodes.append(ObjectNode(label, states, ingredients))
         except InvalidNodeError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     return nodes
@@ -344,7 +347,7 @@ def parse_motion_rates(text: str) -> dict[str, float]:
     # check below.
     try:
         data = json.loads(text, object_pairs_hook=tuple)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise SchemaError(f"motion rates: not valid JSON: {exc}") from exc
     if not isinstance(data, tuple):
         raise SchemaError("motion rates: expected an object mapping motion to rate")
@@ -474,6 +477,7 @@ def _dot_escape(text: str) -> str:
 
 
 def _dot_node(node: ObjectNode) -> tuple[str, str]:
+    import hashlib  # here, so that a run without DOT output never loads it
     ident = "o" + hashlib.sha1(node.key.encode("utf-8")).hexdigest()[:12]
     states = ", ".join(_state_text(s) for s in sorted(node.states, key=_state_sort_key))
     parts = (node.label, states, "{" + ", ".join(sorted(node.ingredients)) + "}")

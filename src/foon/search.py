@@ -52,7 +52,6 @@ __all__ = [
 
 import time
 from collections import deque
-from dataclasses import dataclass
 
 from .core import (
     FoonGraph,
@@ -61,6 +60,8 @@ from .core import (
     NodeKey,
     ObjectNode,
     TaskTree,
+    _set,
+    _Value,
     forward_chain,
     validate_tree,
 )
@@ -81,29 +82,31 @@ HEURISTICS = {
 DEFAULT_MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Value):
     """Search knobs: the outer depth bound and the greedy heuristic."""
 
-    max_depth: int = DEFAULT_MAX_DEPTH
-    heuristic: str = SUCCESS_RATE
+    __slots__ = _fields = ("max_depth", "heuristic")
 
-    def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.heuristic not in HEURISTICS:
-            raise ValueError(f"unknown heuristic {self.heuristic!r}")
-
-
-@dataclass(frozen=True)
-class SearchStats:
-    nodes_expanded: int
-    final_depth_bound: int | None
-    elapsed_seconds: float
+    def __init__(self, max_depth: int = DEFAULT_MAX_DEPTH, heuristic: str = SUCCESS_RATE):
+        if max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+        if heuristic not in HEURISTICS:
+            raise ValueError(f"unknown heuristic {heuristic!r}")
+        _set(self, "max_depth", max_depth)
+        _set(self, "heuristic", heuristic)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchStats(_Value):
+    __slots__ = _fields = ("nodes_expanded", "final_depth_bound", "elapsed_seconds")
+
+    def __init__(self, nodes_expanded: int, final_depth_bound: int | None,
+                 elapsed_seconds: float):
+        _set(self, "nodes_expanded", nodes_expanded)
+        _set(self, "final_depth_bound", final_depth_bound)
+        _set(self, "elapsed_seconds", elapsed_seconds)
+
+
+class SearchOutcome(_Value):
     """Result of one retrieval: a task tree on success, a status otherwise.
 
     ``status`` is ``solved``, ``unsolvable`` (no way to produce some needed
@@ -114,11 +117,15 @@ class SearchOutcome:
     item that had no producer and was not in the kitchen.
     """
 
-    tree: TaskTree | None
-    status: str
-    stats: SearchStats
-    missing_key: NodeKey | None = None
-    reason: str | None = None
+    __slots__ = _fields = ("tree", "status", "stats", "missing_key", "reason")
+
+    def __init__(self, tree: TaskTree | None, status: str, stats: SearchStats,
+                 missing_key: NodeKey | None = None, reason: str | None = None):
+        _set(self, "tree", tree)
+        _set(self, "status", status)
+        _set(self, "stats", stats)
+        _set(self, "missing_key", missing_key)
+        _set(self, "reason", reason)
 
     @property
     def solved(self) -> bool:
@@ -409,13 +416,8 @@ def ids_search(
                 raise RuntimeError("internal error: accepted units form a cycle")
             status = SOLVED
 
-    elapsed = time.perf_counter() - start
-    stats = SearchStats(
-        nodes_expanded=calls,
-        final_depth_bound=final_bound,
-        elapsed_seconds=elapsed,
-    )
-    return SearchOutcome(tree=tree, status=status, stats=stats, reason=reason)
+    stats = SearchStats(calls, final_bound, time.perf_counter() - start)
+    return SearchOutcome(tree, status, stats, reason=reason)
 
 
 def gbfs_search(
@@ -469,15 +471,8 @@ def gbfs_search(
         else:
             reason = "selected units contain a circular dependency"
 
-    elapsed = time.perf_counter() - start
-    stats = SearchStats(
-        nodes_expanded=len(visited),
-        final_depth_bound=None,
-        elapsed_seconds=elapsed,
-    )
-    return SearchOutcome(
-        tree=tree, status=status, stats=stats, missing_key=missing, reason=reason
-    )
+    stats = SearchStats(len(visited), None, time.perf_counter() - start)
+    return SearchOutcome(tree, status, stats, missing, reason)
 
 
 # Algorithm name -> (search function, greedy heuristic; IDS ignores it).

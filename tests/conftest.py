@@ -44,6 +44,15 @@ def obj(label, states=(), ingredients=()):
     return ObjectNode(label, parsed, frozenset(ingredients))
 
 
+def node_keys(graph):
+    """All distinct object-node keys appearing in the graph's units."""
+    keys = set()
+    for step in graph.units:
+        keys.update(step.input_keys)
+        keys.update(step.output_keys)
+    return frozenset(keys)
+
+
 def unit(inputs, motion, outputs, index=0, rate=1.0):
     return FunctionalUnit(
         inputs=tuple(inputs),

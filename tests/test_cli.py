@@ -1,5 +1,5 @@
 import contextlib
-import dataclasses
+import inspect
 import io
 import json
 import os
@@ -162,7 +162,7 @@ class TestRun:
             units, _ = parse_foon_text(tree_path.read_text())
             assert row["functional_unit_count"] == len(units)
 
-    def test_report_bytes_match_dataclasses_asdict(self, tmp_path):
+    def test_report_rows_are_their_fields_in_declaration_order(self, tmp_path):
         rows = [
             ReportRow("drinking glass", "ids", "solved", 2, 5, 0.00125, None, None, None, 3),
             ReportRow("b \u00e9", "gbfs_a", "unsolvable", None, 0, 1e-07, "disk full",
@@ -170,7 +170,12 @@ class TestRun:
         ]
         path = tmp_path / "report.json"
         _write_report(rows, str(path))
-        expected = {"rows": [dataclasses.asdict(row) for row in rows]}
+        names = [
+            "goal_label", "algorithm", "status", "functional_unit_count", "nodes_expanded",
+            "elapsed_seconds", "error", "reason", "missing_key", "final_depth_bound",
+        ]
+        assert list(inspect.signature(ReportRow).parameters) == names
+        expected = {"rows": [{name: getattr(row, name) for name in names} for row in rows]}
         assert path.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
 
     def test_single_algorithm_flag(self, demo_dataset, tmp_path):
@@ -463,6 +468,31 @@ class TestInputErrors:
         line = capsys.readouterr().err.splitlines()[-1]
         assert line.startswith(f"error: {demo_dataset[name]}: {message}")
 
+    @pytest.mark.parametrize("depth", [1_000, 100_000])
+    @pytest.mark.parametrize(
+        "name, what", [("kitchen", "kitchen"), ("goals", "goals"), ("rates", "motion rates")]
+    )
+    def test_deeply_nested_json_is_a_schema_error(
+        self, demo_dataset, tmp_path, name, what, depth
+    ):
+        demo_dataset[name].write_text("[" * depth + "]" * depth, encoding="utf-8")
+        code, err = run_foon_process(
+            "run",
+            "--foon", str(demo_dataset["foon"]),
+            "--kitchen", str(demo_dataset["kitchen"]),
+            "--goals", str(demo_dataset["goals"]),
+            "--motion-rates", str(demo_dataset["rates"]),
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {demo_dataset[name]}: {what}")
+        # Python 3.12 and later decode 1,000 levels, then reject the shape.
+        if depth == 100_000:
+            assert errors[0].startswith(f"error: {demo_dataset[name]}: {what}: not valid JSON: ")
+
     def test_inputs_with_a_byte_order_mark_read_as_without(self, tmp_path, capsys):
         instance = random_instance(24)
         goals = [node_record(node) for node in instance.pool]
@@ -549,6 +579,20 @@ def run_foon_process(*args, python_flags=()):
         timeout=60,
     )
     return result.returncode, result.stderr
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
+    code = (
+        "import sys; before = set(sys.modules); import foon.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_process_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(result.stdout.split())
+    assert "foon.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "hashlib"}
 
 
 class TestInputWarnings:

@@ -1,27 +1,37 @@
-import dataclasses
+import copy
 import inspect
+import pickle
 import random
 
 import pytest
 
 import foon
 from foon import (
+    INPUT_COUNT,
+    FoonGraph,
+    FunctionalUnit,
     InvalidNodeError,
     InvalidUnitError,
     Kitchen,
     MotionNode,
     ObjectNode,
+    ParseDiagnostic,
+    SearchConfig,
+    SearchOutcome,
+    SearchStats,
     StateDescriptor,
     TaskTree,
+    ValidationReport,
     build_graph,
     node_key,
     parse_foon_text,
     reachable_oracle,
     validate_tree,
 )
+from foon.cli import ReportRow
 from foon.core import forward_chain
 from foon.search import ALGORITHMS, finalize_tree, run_algorithm
-from tests.conftest import obj, unit
+from tests.conftest import node_keys, obj, unit
 from tests.forward_chain_reference import (
     reference_forward_chain,
     reference_validate_tree,
@@ -81,7 +91,7 @@ class TestNodeKey:
 class TestBuildGraph:
     def test_sample_unit_graph(self, sample_unit, sample_graph):
         assert len(sample_graph) == 1
-        assert len(sample_graph.node_keys()) == 6
+        assert len(node_keys(sample_graph)) == 6
 
     def test_empty(self):
         graph = build_graph([])
@@ -335,7 +345,9 @@ def test_unit_signature_ignores_weight_and_index():
 def test_with_motion_swaps_only_the_motion():
     base = unit([obj("b"), obj("a")], "Mix", [obj("c")], index=3)
     rated = base.with_motion(MotionNode("mix", 0.25))
-    assert rated == dataclasses.replace(base, motion=MotionNode("mix", 0.25))
+    # A full rebuild is the reference: it computes the keys and signature anew.
+    rebuilt = FunctionalUnit(base.inputs, MotionNode("mix", 0.25), base.outputs, base.unit_index)
+    assert rated == rebuilt
     assert rated.motion.success_rate == 0.25 and base.motion.success_rate == 1.0
     for name in ("inputs", "outputs", "unit_index", "input_keys", "output_keys", "signature"):
         assert getattr(rated, name) == getattr(base, name)
@@ -351,14 +363,17 @@ def test_with_index_matches_replace_in_build_graph():
         for _ in range(rng.randint(1, 5)):
             if units:
                 twin = rng.choice(units)
-                twin = dataclasses.replace(
-                    twin, motion=MotionNode(twin.motion.label, 0.5), unit_index=99
+                twin = FunctionalUnit(
+                    twin.inputs, MotionNode(twin.motion.label, 0.5), twin.outputs, 99
                 )
                 units.insert(rng.randint(0, len(units)), twin)
         kept: dict[tuple, object] = {}
         for u in units:
             kept.setdefault(u.signature, u)
-        expected = [dataclasses.replace(u, unit_index=i) for i, u in enumerate(kept.values())]
+        # Full rebuilds, which compute the keys and signature anew.
+        expected = [
+            FunctionalUnit(u.inputs, u.motion, u.outputs, i) for i, u in enumerate(kept.values())
+        ]
         graph = build_graph(units)
         assert graph.units == tuple(expected)
         for got, want in zip(graph.units, expected):
@@ -370,6 +385,123 @@ def test_kitchen_deduplicates_by_key():
     kitchen = Kitchen.from_nodes([obj("Milk"), obj("milk "), obj("egg")])
     assert len(kitchen) == 2
     assert obj("milk").key in kitchen
+
+
+def _value_pairs():
+    """Per value type: its fields in signature order, the slots derived from
+    them, and two instances of equal content spelled differently (letter
+    case, whitespace, state and ingredient order, positional or keyword)."""
+    ice = obj("Ice", ["Crushed", ("in", "Bowl")], ["Salt", "a"])
+    ice_again = obj(" ice ", [("IN", " bowl"), "crushed"], ["a", "SALT"])
+    mix = FunctionalUnit((ice, obj("glass")), MotionNode("Mix", 0.5), (obj("Slush"),), 2)
+    mix_again = FunctionalUnit(
+        inputs=[ice_again, obj("GLASS")], motion=MotionNode(" mix", 0.5),
+        outputs=[obj("slush")], unit_index=2,
+    )
+    tree = TaskTree((mix,), obj("slush").key)
+    stats = SearchStats(4, 2, 0.25)
+    row_fields = (
+        "goal_label", "algorithm", "status", "functional_unit_count", "nodes_expanded",
+        "elapsed_seconds", "error", "reason", "missing_key", "final_depth_bound",
+    )
+    row = ("ice", "ids", "unsolvable", None, 4, 0.25, None, "no producer", '["ice",[],[]]', 9)
+    return [
+        (StateDescriptor, ("label", "relative_container"), (),
+         StateDescriptor("In", "Bowl"), StateDescriptor(" in", relative_container="BOWL ")),
+        (ObjectNode, ("label", "states", "ingredients"), ("key",), ice, ice_again),
+        (MotionNode, ("label", "success_rate"), (),
+         MotionNode("Pour", 0.5), MotionNode("pour ", success_rate=0.5)),
+        (FunctionalUnit, ("inputs", "motion", "outputs", "unit_index"),
+         ("input_keys", "output_keys", "signature"), mix, mix_again),
+        (FoonGraph, ("units", "producers"), ("_live_memo",),
+         build_graph([mix]), build_graph([mix_again])),
+        (Kitchen, ("nodes", "keys"), (),
+         Kitchen.from_nodes([ice, obj("glass")]),
+         Kitchen.from_nodes([ice_again, obj("Glass"), ice])),
+        (TaskTree, ("steps", "goal"), (), tree, TaskTree(steps=[mix_again], goal=tree.goal)),
+        (ValidationReport, ("violations",), (),
+         ValidationReport(("step 0: x",)), ValidationReport(violations=("step 0: x",))),
+        (SearchConfig, ("max_depth", "heuristic"), (),
+         SearchConfig(5, INPUT_COUNT), SearchConfig(heuristic=INPUT_COUNT, max_depth=5)),
+        (SearchStats, ("nodes_expanded", "final_depth_bound", "elapsed_seconds"), (),
+         stats, SearchStats(nodes_expanded=4, final_depth_bound=2, elapsed_seconds=0.25)),
+        (SearchOutcome, ("tree", "status", "stats", "missing_key", "reason"), (),
+         SearchOutcome(tree, "solved", stats),
+         SearchOutcome(TaskTree([mix_again], tree.goal), "solved", SearchStats(4, 2, 0.25),
+                       missing_key=None)),
+        (ParseDiagnostic, ("line_number", "message", "severity"), (),
+         ParseDiagnostic(3, "no motion"), ParseDiagnostic(3, "no motion", severity="error")),
+        (ReportRow, row_fields, (), ReportRow(*row), ReportRow(**dict(zip(row_fields, row)))),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, derived, left, right",
+    _value_pairs(),
+    ids=[entry[0].__name__ for entry in _value_pairs()],
+)
+class TestValueSemantics:
+    """Equality, hash, signature, immutability and pickling of every value type."""
+
+    def test_equal_content_is_equal_with_the_hash_of_its_fields(
+        self, cls, fields, derived, left, right
+    ):
+        assert type(left) is cls and left is not right
+        assert left == right and not left != right
+        values = tuple(getattr(left, name) for name in fields)
+        if cls is FoonGraph:
+            # Its producer index is a dict, so it has no hash, as before.
+            with pytest.raises(TypeError):
+                hash(left)
+        else:
+            assert hash(left) == hash(right) == hash(values)
+        assert cls(*values) == left
+        for name in derived:
+            assert getattr(cls(*values), name) == getattr(left, name)
+
+    def test_signature_repr_and_match_args_follow_the_fields(
+        self, cls, fields, derived, left, right
+    ):
+        assert tuple(inspect.signature(cls).parameters) == fields
+        shown = ", ".join(f"{name}={getattr(left, name)!r}" for name in fields)
+        assert repr(left) == f"{cls.__name__}({shown})"
+        assert cls.__match_args__ == fields
+
+    def test_never_equal_to_a_tuple_or_another_type(self, cls, fields, derived, left, right):
+        values = tuple(getattr(left, name) for name in fields)
+        assert left != values and values != left
+        assert left.__eq__(values) is NotImplemented
+        assert left.__eq__(object()) is NotImplemented
+        assert left != None  # noqa: E711
+        for other in _value_pairs():
+            if other[0] is not cls:
+                assert left != other[3] and other[3] != left
+
+    def test_no_field_can_be_assigned_or_deleted(self, cls, fields, derived, left, right):
+        for name in (*fields, *derived, "extra"):
+            before = getattr(left, name, None)
+            with pytest.raises(AttributeError):
+                setattr(left, name, before)
+            with pytest.raises(AttributeError):
+                delattr(left, name)
+            assert getattr(left, name, None) is before
+        assert left == right
+        assert not hasattr(left, "__dict__")
+
+    def test_pickles_and_copies_to_an_equal_value(self, cls, fields, derived, left, right):
+        for again in (pickle.loads(pickle.dumps(left)), copy.copy(left), copy.deepcopy(left)):
+            assert type(again) is cls and again == left
+
+
+def test_the_live_producer_memo_is_the_graph_s_only_write(chain):
+    graph, kitchen, _ = chain
+    assert graph._live_memo is None  # the CLI test's spy reads this
+    live = graph.live_producers(kitchen)
+    assert graph._live_memo == (kitchen.keys, live)
+    assert graph.live_producers(Kitchen.from_nodes(kitchen.nodes)) is live
+    with pytest.raises(AttributeError):
+        graph._live_memo = None
+    assert FoonGraph().producers == {} and FoonGraph().producers is not FoonGraph().producers
 
 
 # Every name `foon` exported when its __init__ still listed them itself.

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import warnings
 
@@ -10,6 +9,7 @@ import foon.parsing
 from foon import (
     ALGORITHMS,
     FoonWarning,
+    FunctionalUnit,
     InvalidNodeError,
     MotionNode,
     ObjectNode,
@@ -437,8 +437,12 @@ class TestMotionRates:
         instance = random_instance(3)
         rates = {"chop": 0.5, "pour": 0.0, "mix": 1.0, "scoop": 0.75, "bake": 0.1, "stir": 0.2}
         applied = apply_motion_rates(instance.graph.units, rates)
+        # Full rebuilds, which compute the keys and signature anew.
         rebuilt = [
-            dataclasses.replace(u, motion=MotionNode(u.motion.label, rates[u.motion.label]))
+            FunctionalUnit(
+                u.inputs, MotionNode(u.motion.label, rates[u.motion.label]), u.outputs,
+                u.unit_index,
+            )
             for u in instance.graph.units
         ]
         assert applied == rebuilt

@@ -16,11 +16,13 @@ from foon import (
     export_dot,
     heuristic_select,
     ids_search,
+    normalize,
     parse_foon_text,
     reachable_oracle,
     serialize_units,
     validate_tree,
 )
+from tests.conftest import node_keys
 from tests.randgen import random_instance
 
 # Text that the parser itself could have produced: no braces, brackets or
@@ -66,6 +68,29 @@ def test_node_key_is_a_congruence(left, right):
         assert node.key == _canonical_key(node)
 
 
+# Any text at all: quotes, backslashes, control characters, non-ASCII text
+# and lone surrogates, mixed in often enough that most examples hold some.
+any_text = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t é 𐏿\U0001f600')
+    | st.characters(exclude_categories=()),
+    max_size=8,
+)
+any_label = any_text.filter(normalize)
+
+
+@settings(max_examples=300)
+@given(any_label, st.lists(st.tuples(any_label, st.none() | any_text), max_size=3),
+       st.lists(any_text, max_size=3))
+def test_node_key_is_the_compact_json_dump(label, states, ingredients):
+    node = ObjectNode(
+        label, frozenset(StateDescriptor(*state) for state in states), frozenset(ingredients)
+    )
+    assert node.key == _canonical_key(node)
+    assert node.key.isascii()
+    pairs = sorted([s.label, s.relative_container or ""] for s in node.states)
+    assert json.loads(node.key) == [normalize(label), pairs, sorted(node.ingredients)]
+
+
 @given(nodes)
 def test_node_key_insensitive_to_case_whitespace_and_order(node):
     scrambled = ObjectNode(
@@ -79,7 +104,7 @@ def test_node_key_insensitive_to_case_whitespace_and_order(node):
 @given(instances)
 def test_producer_index_is_complete_and_exact(instance):
     graph = instance.graph
-    all_keys = graph.node_keys() | {n.key for n in instance.pool}
+    all_keys = node_keys(graph) | {n.key for n in instance.pool}
     for key in all_keys:
         produced_by = graph.producers_of(key)
         for unit in produced_by:
@@ -92,7 +117,7 @@ def test_producer_index_is_complete_and_exact(instance):
 @given(instances)
 def test_live_producers_are_exactly_those_the_oracle_can_feed(instance):
     graph, kitchen = instance.graph, instance.kitchen
-    reachable = {key: reachable_oracle(graph, kitchen, key) for key in graph.node_keys()}
+    reachable = {key: reachable_oracle(graph, kitchen, key) for key in node_keys(graph)}
     expected = {}
     for key, producers in graph.producers.items():
         fed = tuple(u for u in producers if all(reachable[k] for k in u.input_keys))
