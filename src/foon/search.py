@@ -24,10 +24,12 @@ prefers the unit whose motion has the highest success rate, ``input_count``
 the unit with the fewest inputs; ties go to the lowest unit index.
 
 Units are discovered goal-first. Both searches end in :func:`finalize_tree`:
-reverse the discovery list, drop duplicates, order the steps by the same
-forward pass from the kitchen that finds the live producers
-(:func:`~foon.core.forward_chain`, one scan when they are already in order),
-trim after the last goal producer, and validate once.
+drop duplicate units, sort the rest by ``unit_index``, fire them earliest
+ready first by the same forward pass from the kitchen that finds the live
+producers (:func:`~foon.core.forward_chain`, one scan when the sorted list
+is already in execution order), trim after the last goal producer, and
+validate once. So a tree's step order follows from its unit set and the
+graph alone, not from the order its search found the units in.
 :data:`ALGORITHMS` maps each algorithm name to its search call.
 """
 
@@ -52,6 +54,7 @@ __all__ = [
 
 import time
 from collections import deque
+from operator import attrgetter
 
 from .core import (
     FoonGraph,
@@ -80,6 +83,8 @@ HEURISTICS = {
 }
 
 DEFAULT_MAX_DEPTH = 100
+
+_UNIT_INDEX = attrgetter("unit_index")
 
 
 class SearchConfig(_Value):
@@ -148,13 +153,15 @@ def heuristic_select(candidates, mode: str) -> FunctionalUnit:
 def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None:
     """Turn a goal-first discovery list into a validated task tree.
 
-    Reverses the discovery order, keeps the first occurrence of each
-    structurally identical unit, then orders the steps by one
-    :func:`~foon.core.forward_chain` pass from the kitchen (the earliest
-    ready step first). Steps after the last one that outputs the goal are
-    dropped. Returns None when the steps cannot all run in any order (a
-    circular dependency); raises RuntimeError if the ordered tree still
-    fails :func:`validate_tree`.
+    Keeps the last-discovered occurrence of each structurally identical
+    unit, sorts the kept units by ``unit_index`` (a stable sort: ties keep
+    their reversed discovery order), then orders the steps by one
+    :func:`~foon.core.forward_chain` pass from the kitchen: the ready step
+    that comes first in the sorted list fires first. So the tree depends
+    only on the set of units and the kitchen. Steps after the last one that
+    outputs the goal are dropped. Returns None when the steps cannot all
+    run in any order (a circular dependency); raises RuntimeError if the
+    ordered tree still fails :func:`validate_tree`.
     """
     steps: list[FunctionalUnit] = []
     seen: set[tuple] = set()
@@ -162,6 +169,7 @@ def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None
         if unit.signature not in seen:
             seen.add(unit.signature)
             steps.append(unit)
+    steps.sort(key=_UNIT_INDEX)
 
     fired, _ = forward_chain(steps, kitchen.keys)
     ordered = [steps[pos] for pos in fired]

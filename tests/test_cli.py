@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import io
+import itertools
 import json
 import os
 import re
@@ -225,6 +226,31 @@ class TestRun:
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_algorithms_with_equal_unit_sets_write_equal_files(self, layered, tmp_path):
+        # On the layered fixture the three algorithms find the same units
+        # for every goal, each in its own order.
+        graph, kitchen, goals = layered
+        instance = Instance(graph, kitchen, goals[0], goals)
+        records = [node_record(goal) for goal in goals]
+        paths = write_instance(instance, tmp_path / "dataset", records, {})
+        out_dir = tmp_path / "out"
+        assert run_cli(paths, out_dir, "--emit-dot") == 0
+        equal_sets = 0
+        for slug in _assign_slugs(goals):
+            written = {
+                name: [(out_dir / f"{slug}_{name}{ext}").read_bytes() for ext in (".txt", ".dot")]
+                for name in ALGORITHMS
+            }
+            units = {
+                name: {u.signature for u in parse_foon_text(files[0].decode())[0]}
+                for name, files in written.items()
+            }
+            for first, second in itertools.combinations(ALGORITHMS, 2):
+                if units[first] == units[second]:
+                    equal_sets += 1
+                    assert written[first] == written[second], (slug, first, second)
+        assert equal_sets == 3 * len(goals)
 
     def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
         # Seed 24 has nodes with several states, nodes with ingredients and

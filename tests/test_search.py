@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import deque
 
@@ -5,6 +6,7 @@ import pytest
 
 import foon.search
 from foon import (
+    ALGORITHMS,
     DEPTH_EXHAUSTED,
     INPUT_COUNT,
     SOLVED,
@@ -18,12 +20,15 @@ from foon import (
     heuristic_select,
     ids_search,
     reachable_oracle,
+    run_algorithm,
     validate_tree,
 )
+from foon.core import forward_chain
 from foon.search import HEURISTICS, _deepen
 from tests.conftest import obj, unit
 from tests.deepen_reference import reference_deepen
 from tests.finalize_reference import reference_finalize
+from tests.finalize_sorted_reference import reference_sorted_finalize
 from tests.ids_reference import reference_depth_limited_search, reference_ids_search
 from tests.randgen import random_instance
 
@@ -140,15 +145,37 @@ class TestFinalizeTree:
         assert list(tree.steps) == [u1, u2]
 
     def test_deduplicates_keeping_earliest_execution_occurrence(self):
-        # u1 and u2 are both ready at once, so their order shows which
-        # occurrence of the duplicated u2 was kept.
+        # u2 and its copy differ only in rate and index, so the tree shows
+        # which occurrence was kept: the last discovered (u2_copy). It sorts
+        # after u3 but fires before it, as u3 needs its output.
         u1 = unit([obj("a")], "m1", [obj("b")], index=0)
         u2 = unit([obj("a")], "m2", [obj("c")], index=1)
         u3 = unit([obj("b"), obj("c")], "m3", [obj("g")], index=2)
         u2_copy = unit([obj("a")], "m2", [obj("c")], index=7, rate=0.5)
         kitchen = Kitchen.from_nodes([obj("a")])
         tree = finalize_tree([u3, u2, u1, u2_copy], obj("g").key, kitchen)
-        assert list(tree.steps) == [u2_copy, u1, u3]
+        assert list(tree.steps) == [u1, u2_copy, u3]
+
+    def test_orders_ready_steps_by_unit_index(self):
+        # Both of u1 and u2 are ready at once: the lower index fires first,
+        # whichever order they were discovered in.
+        u1 = unit([obj("a")], "m1", [obj("b")], index=3)
+        u2 = unit([obj("a")], "m2", [obj("c")], index=5)
+        u3 = unit([obj("b"), obj("c")], "m3", [obj("g")], index=4)
+        kitchen = Kitchen.from_nodes([obj("a")])
+        for discovery in itertools.permutations([u1, u2, u3]):
+            tree = finalize_tree(discovery, obj("g").key, kitchen)
+            assert list(tree.steps) == [u1, u2, u3], discovery
+
+    def test_ties_in_unit_index_keep_reversed_discovery_order(self):
+        # Units built outside build_graph all carry index 0: the sort keeps
+        # them in reversed discovery order, as before the sort.
+        u1 = unit([obj("a")], "m1", [obj("b")])
+        u2 = unit([obj("a")], "m2", [obj("c")])
+        u3 = unit([obj("b"), obj("c")], "m3", [obj("g")])
+        kitchen = Kitchen.from_nodes([obj("a")])
+        assert list(finalize_tree([u3, u2, u1], obj("g").key, kitchen).steps) == [u1, u2, u3]
+        assert list(finalize_tree([u3, u1, u2], obj("g").key, kitchen).steps) == [u2, u1, u3]
 
     def test_empty_discovery(self):
         goal = obj("g")
@@ -164,48 +191,135 @@ class TestFinalizeTree:
         assert list(tree.steps) == [u1]
 
     def test_matches_the_three_pass_reference(self):
-        """Differential check on the randgen corpus.
+        """Differential check against the reversal order on the randgen corpus.
 
-        Discovery lists are those of the frozen recursive IDS, shuffled
-        copies of them with duplicates, and random unit samples of (often
-        cyclic) graphs; the goal is always output by the list's first unit,
-        as in both searches.
+        The step order differs from the frozen three-pass finalization by
+        design, and on a list that holds units besides the goal's recipe so
+        can the trim. What must not change is checked on every list of
+        :func:`_finalize_corpus`: the same None / not-None result, and on the
+        lists a search produced, the same set of units.
+        """
+        searched = solved = none = 0
+        for seed in range(500):
+            kitchen, lists = _finalize_corpus(seed)
+            for discovery, target, from_search in lists:
+                expected = reference_finalize(discovery, target, kitchen)
+                actual = finalize_tree(discovery, target, kitchen)
+                assert (actual is None) == (expected is None), (seed, discovery)
+                if expected is None:
+                    none += 1
+                    continue
+                solved += 1
+                if from_search:
+                    assert set(actual.steps) == set(expected.steps), (seed, discovery)
+                    searched += 1
+        # 283 search lists; 545 trees and 1,332 Nones in all.
+        assert searched > 250 and solved > 500 and none > 500, (searched, solved, none)
+
+    def test_matches_the_unit_index_reference(self):
+        """Exact trees against the frozen quadratic reference of the rule.
+
+        Every list of :func:`_finalize_corpus` is checked as is, and once
+        more with every unit renumbered to index 0, as units built outside
+        ``build_graph`` are, so that all ties go to discovery position.
         """
         solved = none = 0
         for seed in range(500):
+            kitchen, lists = _finalize_corpus(seed)
+            for discovery, target, _ in lists:
+                for units in (discovery, [u.with_index(0) for u in discovery]):
+                    expected = reference_sorted_finalize(units, target, kitchen)
+                    actual = finalize_tree(units, target, kitchen)
+                    if expected is None:
+                        assert actual is None, (seed, units)
+                        none += 1
+                    else:
+                        assert actual is not None, (seed, units)
+                        assert actual.steps == expected.steps, (seed, units)
+                        solved += 1
+        # 1,090 trees and 2,664 Nones.
+        assert solved > 1000 and none > 1000, (solved, none)
+
+    def test_a_shuffled_discovery_list_gives_the_same_tree(self, monkeypatch):
+        """On the randgen corpus, the tree of each IDS and GBFS discovery list
+        is also the tree of shuffled copies of it, with duplicates added."""
+        discoveries = []
+
+        def spy_finalize(discovery, goal, kitchen):
+            discoveries.append((list(discovery), goal))
+            return finalize_tree(discovery, goal, kitchen)
+
+        monkeypatch.setattr(foon.search, "finalize_tree", spy_finalize)
+        reordered = 0
+        for seed in range(300):
             rng = random.Random(seed)
             instance = random_instance(seed, acyclic=(seed % 3 == 0))
             graph, kitchen = instance.graph, instance.kitchen
-            goal = instance.goal.key
-            lists = []
-            for bound in range(len(graph) + 2):
-                found, _, discovery, _ = reference_depth_limited_search(
-                    graph, kitchen, goal, bound
-                )
-                if found:
-                    lists.append((discovery, goal))
-                    shuffled = discovery + rng.choices(discovery, k=len(discovery))
-                    rng.shuffle(shuffled)
-                    if shuffled:
-                        lists.append((shuffled, rng.choice(shuffled[0].output_keys)))
-                    break
-            for _ in range(3):
-                if not graph.units:
-                    break
-                sample = rng.choices(graph.units, k=rng.randint(1, 8))
-                lists.append((sample, rng.choice(sample[0].output_keys)))
+            for name in ALGORITHMS:
+                outcome = run_algorithm(name, graph, kitchen, instance.goal)
+                for discovery, goal in discoveries:
+                    tree = finalize_tree(discovery, goal, kitchen)
+                    assert tree == outcome.tree, (seed, name)
+                    for _ in range(3):
+                        shuffled = discovery + rng.choices(discovery, k=len(discovery) // 2)
+                        rng.shuffle(shuffled)
+                        assert finalize_tree(shuffled, goal, kitchen) == tree, (seed, name)
+                        reordered += len(discovery) > 1
+                discoveries.clear()
+        # 390 shuffles of lists with two or more units.
+        assert reordered > 350, reordered
 
-            for discovery, target in lists:
-                expected = reference_finalize(discovery, target, kitchen)
-                actual = finalize_tree(discovery, target, kitchen)
-                if expected is None:
-                    assert actual is None, (seed, discovery)
-                    none += 1
-                else:
-                    assert actual is not None, (seed, discovery)
-                    assert actual.steps == expected.steps, (seed, discovery)
-                    solved += 1
-        assert solved > 500 and none > 500
+
+def _finalize_corpus(seed):
+    """The kitchen and the discovery lists the finalize differential tests
+    check at ``seed``.
+
+    Each list entry is ``(discovery, target, from_search)``: the list of the
+    frozen recursive IDS at its first solving bound (``from_search``), a
+    shuffled copy of it with duplicates, and three random unit samples of
+    the (often cyclic) graph; the target is always output by the list's
+    first unit, as in both searches.
+    """
+    rng = random.Random(seed)
+    instance = random_instance(seed, acyclic=(seed % 3 == 0))
+    graph, kitchen = instance.graph, instance.kitchen
+    goal = instance.goal.key
+    lists = []
+    for bound in range(len(graph) + 2):
+        found, _, discovery, _ = reference_depth_limited_search(graph, kitchen, goal, bound)
+        if found:
+            lists.append((discovery, goal, True))
+            shuffled = discovery + rng.choices(discovery, k=len(discovery))
+            rng.shuffle(shuffled)
+            if shuffled:
+                lists.append((shuffled, rng.choice(shuffled[0].output_keys), False))
+            break
+    for _ in range(3):
+        if not graph.units:
+            break
+        sample = rng.choices(graph.units, k=rng.randint(1, 8))
+        lists.append((sample, rng.choice(sample[0].output_keys), False))
+    return kitchen, lists
+
+
+def test_every_layered_tree_is_ordered_in_one_scan(layered, monkeypatch):
+    """The work of ordering, as a count: on the layered fixture, each of the
+    78 trees of the three algorithms fires its sorted units in list order,
+    so ``forward_chain`` never takes its counter-and-heap path."""
+    calls = []
+
+    def spy_forward_chain(units, kitchen_keys):
+        fired, made = forward_chain(units, kitchen_keys)
+        calls.append(fired == list(range(len(units))))
+        return fired, made
+
+    monkeypatch.setattr(foon.search, "forward_chain", spy_forward_chain)
+    graph, kitchen, goals = layered
+    for goal in goals:
+        for name in ALGORITHMS:
+            assert run_algorithm(name, graph, kitchen, goal).solved
+    assert len(calls) == 78
+    assert calls.count(False) == 0
 
 
 class TestIdsSearch:
