@@ -13,13 +13,14 @@ from foon import FoonError, build_graph, export_dot, parse_foon_text
 
 
 def main(argv=None):
-    """Exit 0 on success, 1 on an unreadable file or an invalid FOON."""
+    """Exit 0 on success, 1 on an unreadable file or an invalid FOON, with
+    one ``error:`` line. A leading UTF-8 byte-order mark is not text."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("foon_file", help="FOON text file to render")
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.foon_file).read_text(encoding="utf-8")
+        text = Path(args.foon_file).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.foon_file}: {exc}", file=sys.stderr)
         return 1
@@ -27,6 +28,7 @@ def main(argv=None):
     for diag in diagnostics:
         print(f"{args.foon_file}: {diag}", file=sys.stderr)
     if any(d.severity == "error" for d in diagnostics):
+        print(f"error: {args.foon_file}: FOON text did not parse", file=sys.stderr)
         return 1
     try:
         graph = build_graph(units)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 
 import foon.cli
 from foon import (
@@ -38,6 +38,7 @@ from foon import (
 from foon.cli import ReportRow, _assign_slugs, _write_report, main, slugify
 from tests import golden
 from tests.conftest import DEMO_FOON, DEMO_KITCHEN, write_demo_dataset
+from tests.malform import malformed
 from tests.randgen import Instance, node_record, random_instance, write_instance
 
 
@@ -1001,6 +1002,10 @@ def _relabel(instance: Instance, labels: list[str]) -> Instance:
     )
 
 
+# The CLI's four input files, as named by tests.randgen.write_instance.
+_INPUT_FILES = ("foon", "kitchen", "goals", "rates")
+
+
 class TestCliContract:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 10_000))
@@ -1057,3 +1062,56 @@ class TestCliContract:
                 assert not diagnostics
                 assert len(units) == row["functional_unit_count"]
                 assert validate_tree(kitchen, TaskTree(units, goal.key)).ok
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 10_000), name=st.sampled_from(_INPUT_FILES))
+    def test_malformed_input_files_hold_the_exit_code_contract(self, data, seed, name):
+        """One input file of a valid randgen instance, malformed.
+
+        Exit code 0, 1 or 2 and no traceback; on 1 exactly one ``error:``
+        line; on 0 or 2 the exit code follows the report, and every written
+        tree parses back and validates against the kitchen as read.
+        """
+        instance = random_instance(seed, max_units=20, max_keys=10)
+        goals = [node_record(node) for node in instance.pool]
+        rates = {unit.motion.label: 0.5 for unit in instance.graph.units}
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            paths = write_instance(instance, directory / "dataset", goals, rates)
+            kind, raw = data.draw(malformed(paths[name].read_bytes(), name != "foon"))
+            paths[name].write_bytes(raw)
+            out_dir, report = directory / "out", directory / "report.json"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run_cli(
+                    paths, out_dir, "--emit-dot", "--report", str(report),
+                    "--motion-rates", str(paths["rates"]),
+                )
+            err = stderr.getvalue()
+            event(f"{name} {kind}: exit {code}")
+            assert code in (0, 1, 2), (kind, code)
+            assert "Traceback" not in err, kind
+            if code == 1:
+                errors = [line for line in err.splitlines() if line.startswith("error:")]
+                assert len(errors) == 1, (kind, err)
+                return
+            rows = json.loads(report.read_text(encoding="utf-8"))["rows"]
+            assert code == (0 if all(r["status"] == SOLVED for r in rows) else 2), kind
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", FoonWarning)
+                kitchen = parse_kitchen(paths["kitchen"].read_text(encoding="utf-8-sig"))
+                goal_nodes = parse_goals(paths["goals"].read_text(encoding="utf-8-sig"))
+            written = 0
+            slugs = _assign_slugs(goal_nodes)
+            for row, (goal, slug, algorithm) in zip(
+                rows, [(g, s, a) for g, s in zip(goal_nodes, slugs) for a in ALGORITHMS]
+            ):
+                if row["functional_unit_count"] is None:
+                    continue
+                text = (out_dir / f"{slug}_{algorithm}.txt").read_text(encoding="utf-8")
+                units, diagnostics = parse_foon_text(text)
+                assert not diagnostics, kind
+                assert len(units) == row["functional_unit_count"], kind
+                assert validate_tree(kitchen, TaskTree(units, goal.key)).ok, kind
+                written += 1
+            assert len(list(out_dir.iterdir())) == 2 * written
