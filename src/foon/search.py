@@ -29,7 +29,7 @@ ready first by the same forward pass from the kitchen that finds the live
 producers (:func:`~foon.core.forward_chain`, one scan when the sorted list
 is already in execution order), trim after the last goal producer, and
 validate once. So a tree's step order follows from its unit set and the
-graph alone, not from the order its search found the units in.
+kitchen alone, not from the order its search found the units in.
 :data:`ALGORITHMS` maps each algorithm name to its search call.
 """
 

@@ -1101,11 +1101,14 @@ class TestCliContract:
                 warnings.simplefilter("ignore", FoonWarning)
                 kitchen = parse_kitchen(paths["kitchen"].read_text(encoding="utf-8-sig"))
                 goal_nodes = parse_goals(paths["goals"].read_text(encoding="utf-8-sig"))
+            expected = [
+                (goal, slug, algorithm)
+                for goal, slug in zip(goal_nodes, _assign_slugs(goal_nodes))
+                for algorithm in ALGORITHMS
+            ]
+            assert len(rows) == len(expected), kind
             written = 0
-            slugs = _assign_slugs(goal_nodes)
-            for row, (goal, slug, algorithm) in zip(
-                rows, [(g, s, a) for g, s in zip(goal_nodes, slugs) for a in ALGORITHMS]
-            ):
+            for row, (goal, slug, algorithm) in zip(rows, expected):
                 if row["functional_unit_count"] is None:
                     continue
                 text = (out_dir / f"{slug}_{algorithm}.txt").read_text(encoding="utf-8")

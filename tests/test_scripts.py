@@ -1,4 +1,5 @@
-"""Smoke tests: each script under ``scripts/`` runs and prints something."""
+"""Smoke tests: each script under ``scripts/`` runs and prints something;
+the DOT renderer also holds its exit-code contract on malformed files."""
 
 import contextlib
 import importlib.util
@@ -77,7 +78,6 @@ def test_render_foon_dot_reports_a_unit_without_outputs(tmp_path):
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "error: unit 0: no output nodes\n"
-
 
 
 def _load_script(name):

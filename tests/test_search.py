@@ -167,16 +167,6 @@ class TestFinalizeTree:
             tree = finalize_tree(discovery, obj("g").key, kitchen)
             assert list(tree.steps) == [u1, u2, u3], discovery
 
-    def test_ties_in_unit_index_keep_reversed_discovery_order(self):
-        # Units built outside build_graph all carry index 0: the sort keeps
-        # them in reversed discovery order, as before the sort.
-        u1 = unit([obj("a")], "m1", [obj("b")])
-        u2 = unit([obj("a")], "m2", [obj("c")])
-        u3 = unit([obj("b"), obj("c")], "m3", [obj("g")])
-        kitchen = Kitchen.from_nodes([obj("a")])
-        assert list(finalize_tree([u3, u2, u1], obj("g").key, kitchen).steps) == [u1, u2, u3]
-        assert list(finalize_tree([u3, u1, u2], obj("g").key, kitchen).steps) == [u2, u1, u3]
-
     def test_empty_discovery(self):
         goal = obj("g")
         tree = finalize_tree([], goal.key, Kitchen.from_nodes([goal]))
@@ -194,8 +184,8 @@ class TestFinalizeTree:
         """Differential check against the reversal order on the randgen corpus.
 
         The step order differs from the frozen three-pass finalization by
-        design, and on a list that holds units besides the goal's recipe so
-        can the trim. What must not change is checked on every list of
+        design, and so can the trim of a list with units the goal does not
+        need. What must not change is checked on every list of
         :func:`_finalize_corpus`: the same None / not-None result, and on the
         lists a search produced, the same set of units.
         """
@@ -258,12 +248,11 @@ class TestFinalizeTree:
             for name in ALGORITHMS:
                 outcome = run_algorithm(name, graph, kitchen, instance.goal)
                 for discovery, goal in discoveries:
-                    tree = finalize_tree(discovery, goal, kitchen)
-                    assert tree == outcome.tree, (seed, name)
                     for _ in range(3):
                         shuffled = discovery + rng.choices(discovery, k=len(discovery) // 2)
                         rng.shuffle(shuffled)
-                        assert finalize_tree(shuffled, goal, kitchen) == tree, (seed, name)
+                        tree = finalize_tree(shuffled, goal, kitchen)
+                        assert tree == outcome.tree, (seed, name)
                         reordered += len(discovery) > 1
                 discoveries.clear()
         # 390 shuffles of lists with two or more units.
