@@ -1,20 +1,23 @@
 """Command-line front end for FOON task-tree retrieval.
 
-Two subcommands share the same inputs (a FOON text file, kitchen and goal
-documents, optionally motion success rates):
+Three subcommands, which all read a FOON text file through ``load_graph``:
 
-  * ``run``   searches each goal with the selected algorithm(s) and writes
-              one task-tree file per solved (goal, algorithm) pair,
+  * ``run``   searches each goal of a goal document, from a kitchen document
+              and optional motion success rates, with the selected
+              algorithm(s) and writes one task-tree file per solved
+              (goal, algorithm) pair,
   * ``bench`` forces all three algorithms and additionally prints a pivoted
-              goal-by-algorithm summary of functional-unit counts.
+              goal-by-algorithm summary of functional-unit counts,
+  * ``dot``   prints the Graphviz DOT of the whole FOON.
 
-Exit codes: 0 all goals solved, 1 usage, input or write error, 2 at least
-one goal unsolved. Every input error and warning names its file; an input
-file may start with a UTF-8 byte-order mark. A failed tree or DOT write is
-recorded in its report row (and reads ``error`` in the table) and the run
-goes on; the exit code is still 1. So is a failed write to standard
-output, which still writes the report; a label stdout cannot encode prints
-with backslash escapes.
+Exit codes: 0 all goals solved (for ``dot``: the DOT printed), 1 usage,
+input or write error, 2 at least one goal unsolved. Every input error and
+warning names its file; an input file may start with a UTF-8 byte-order
+mark. A failed tree or DOT write is recorded in its report row (and reads
+``error`` in the table) and the run goes on; the exit code is still 1. So
+is a failed write to standard output, which still writes the report; a
+label stdout cannot encode prints with backslash escapes in the table, and
+is a write error for ``dot``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .core import FoonError, FoonGraph, Kitchen, ObjectNode, _set, _Value, build_graph
+from .core import FoonError, FoonGraph, Kitchen, ObjectNode, build_graph
 from .parsing import (
     ERROR,
     FoonWarning,
@@ -41,24 +44,6 @@ from .parsing import (
     serialize_task_tree,
 )
 from .search import ALGORITHMS, DEFAULT_MAX_DEPTH, SOLVED, run_algorithm
-
-
-class ReportRow(_Value):
-    """One (goal, algorithm) result. ``reason``, ``missing_key`` and
-    ``final_depth_bound`` come from the search outcome and are None where
-    the search gives none; ``error`` is a failed tree or DOT write."""
-
-    __slots__ = _fields = (
-        "goal_label", "algorithm", "status", "functional_unit_count", "nodes_expanded",
-        "elapsed_seconds", "error", "reason", "missing_key", "final_depth_bound")
-
-    def __init__(self, goal_label: str, algorithm: str, status: str,
-                 functional_unit_count: int | None, nodes_expanded: int,
-                 elapsed_seconds: float, error: str | None, reason: str | None,
-                 missing_key: str | None, final_depth_bound: int | None):
-        fields = locals()
-        for name in self._fields:
-            _set(self, name, fields[name])
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -122,34 +107,44 @@ def _from_file(path: str, call, *call_args):
     return result
 
 
+def load_graph(foon: str, motion_rates: str | None = None) -> FoonGraph:
+    """Read, parse and build the FOON file ``foon``, with the success rates
+    of the ``motion_rates`` file applied if one is given. Diagnostics and
+    warnings print to stderr; any problem raises FoonError."""
+    units, diagnostics = parse_foon_text(_read_text(foon, "FOON"))
+    for diag in diagnostics:
+        print(f"{foon}: {diag}", file=sys.stderr)
+    if any(d.severity == ERROR for d in diagnostics):
+        raise FoonError(f"{foon}: FOON text did not parse")
+
+    if motion_rates:
+        text = _read_text(motion_rates, "motion rates")
+        rates = _from_file(motion_rates, parse_motion_rates, text)
+        units = _from_file(motion_rates, apply_motion_rates, units, rates)
+
+    return _from_file(foon, build_graph, units)
+
+
 def load_inputs(args) -> tuple[FoonGraph, Kitchen, list[ObjectNode]]:
     """Parse and assemble all input files, raising FoonError on any problem."""
-    foon_text = _read_text(args.foon, "FOON")
-    units, diagnostics = parse_foon_text(foon_text)
-    for diag in diagnostics:
-        print(f"{args.foon}: {diag}", file=sys.stderr)
-    if any(d.severity == ERROR for d in diagnostics):
-        raise FoonError(f"{args.foon}: FOON text did not parse")
-
-    if args.motion_rates:
-        text = _read_text(args.motion_rates, "motion rates")
-        rates = _from_file(args.motion_rates, parse_motion_rates, text)
-        units = _from_file(args.motion_rates, apply_motion_rates, units, rates)
-
-    graph = _from_file(args.foon, build_graph, units)
+    graph = load_graph(args.foon, args.motion_rates)
     kitchen = _from_file(args.kitchen, parse_kitchen, _read_text(args.kitchen, "kitchen"))
     goals = _from_file(args.goals, parse_goals, _read_text(args.goals, "goals"))
     return graph, kitchen, goals
 
 
-def _run_goals(args, algorithms) -> list[ReportRow]:
+def _run_goals(args, algorithms) -> list[dict]:
+    """One report row, a JSON object, per (goal, algorithm) in that order.
+    ``reason``, ``missing_key`` and ``final_depth_bound`` come from the
+    search outcome and are None where the search gives none; ``error`` is a
+    failed tree or DOT write."""
     graph, kitchen, goals = load_inputs(args)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise FoonError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
-    rows: list[ReportRow] = []
+    rows: list[dict] = []
     # One memo for the run: each distinct node and unit renders once.
     memo = RenderMemo()
     # Built here, so the per-kitchen pass is not billed to the first IDS row.
@@ -173,13 +168,19 @@ def _run_goals(args, algorithms) -> list[ReportRow]:
                 except FoonError as exc:
                     error = str(exc)
                     print(f"error: {error}", file=sys.stderr)
-            units = None if tree is None else len(tree.steps)
             stats = outcome.stats
-            rows.append(ReportRow(
-                goal.label, algorithm, outcome.status, units, stats.nodes_expanded,
-                stats.elapsed_seconds, error, outcome.reason, outcome.missing_key,
-                stats.final_depth_bound,
-            ))
+            rows.append({
+                "goal_label": goal.label,
+                "algorithm": algorithm,
+                "status": outcome.status,
+                "functional_unit_count": None if tree is None else len(tree.steps),
+                "nodes_expanded": stats.nodes_expanded,
+                "elapsed_seconds": stats.elapsed_seconds,
+                "error": error,
+                "reason": outcome.reason,
+                "missing_key": outcome.missing_key,
+                "final_depth_bound": stats.final_depth_bound,
+            })
     return rows
 
 
@@ -200,23 +201,23 @@ def _render_columns(headers: tuple[str, ...], cells: list[tuple[str, ...]]) -> s
     )
 
 
-def format_table(rows: list[ReportRow]) -> str:
+def format_table(rows: list[dict]) -> str:
     headers = ("goal", "algorithm", "status", "units", "expanded", "time_ms")
     cells = [
         (
-            row.goal_label,
-            row.algorithm,
-            "error" if row.error else row.status,
-            "-" if row.functional_unit_count is None else str(row.functional_unit_count),
-            str(row.nodes_expanded),
-            f"{row.elapsed_seconds * 1000:.1f}",
+            row["goal_label"],
+            row["algorithm"],
+            "error" if row["error"] else row["status"],
+            "-" if row["functional_unit_count"] is None else str(row["functional_unit_count"]),
+            str(row["nodes_expanded"]),
+            f"{row['elapsed_seconds'] * 1000:.1f}",
         )
         for row in rows
     ]
     return _render_columns(headers, cells)
 
 
-def format_pivot(rows: list[ReportRow]) -> str:
+def format_pivot(rows: list[dict]) -> str:
     """Goal-by-algorithm table of functional-unit counts, one row per goal
     entry in goal order ('-' when the search or the tree write failed).
 
@@ -226,10 +227,10 @@ def format_pivot(rows: list[ReportRow]) -> str:
     """
     size = len(ALGORITHMS)
     cells = [
-        (rows[start].goal_label,)
+        (rows[start]["goal_label"],)
         + tuple(
-            "-" if row.functional_unit_count is None or row.error
-            else str(row.functional_unit_count)
+            "-" if row["functional_unit_count"] is None or row["error"]
+            else str(row["functional_unit_count"])
             for row in rows[start : start + size]
         )
         for start in range(0, len(rows), size)
@@ -237,16 +238,19 @@ def format_pivot(rows: list[ReportRow]) -> str:
     return _render_columns(("goal", *ALGORITHMS), cells)
 
 
-def _write_report(rows: list[ReportRow], path: str) -> None:
-    # Each row is the object of its fields (str, int, float or None), in order.
-    payload = {"rows": [{name: getattr(row, name) for name in row._fields} for row in rows]}
-    _write_text(Path(path), json.dumps(payload, indent=2) + "\n")
+def _write_report(rows: list[dict], path: str) -> None:
+    _write_text(Path(path), json.dumps({"rows": rows}, indent=2) + "\n")
 
 
 def _print_stdout(text: str) -> bool:
-    """Print ``text``; on a write error print an error line and return False."""
+    """Write ``text``; on a write error print an error line and return False."""
     try:
-        print(text, flush=True)
+        print(text, end="", flush=True)
+    except UnicodeEncodeError as exc:
+        # Nothing was written. Unlike the table, DOT is not escaped: Graphviz
+        # would draw the escaped label as another node.
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return False
     except OSError as exc:
         print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
         # What is still buffered would fail again at interpreter exit, with an
@@ -315,11 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run all three algorithms per goal and print a summary"
     )
     _add_common_arguments(bench)
+
+    dot = sub.add_parser("dot", help="print the Graphviz DOT of a whole FOON")
+    dot.add_argument("--foon", required=True, help="FOON text file")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "dot":
+        try:
+            graph = load_graph(args.foon)
+        except FoonError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        return 0 if _print_stdout(export_dot(graph)) else 1
     if args.max_depth < 1:
         print("error: --max-depth must be at least 1", file=sys.stderr)
         return 1
@@ -333,15 +347,15 @@ def main(argv=None) -> int:
         text = format_table(rows)
         if args.command == "bench":
             text += "\n\n" + format_pivot(rows)
-        printed = _print_stdout(text)
+        printed = _print_stdout(text + "\n")
         if args.report:
             _write_report(rows, args.report)
     except FoonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not printed or any(row.error for row in rows):
+    if not printed or any(row["error"] for row in rows):
         return 1
-    return 0 if all(row.status == SOLVED for row in rows) else 2
+    return 0 if all(row["status"] == SOLVED for row in rows) else 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,4 @@
 import contextlib
-import inspect
 import io
 import itertools
 import json
@@ -33,9 +32,10 @@ from foon import (
     parse_kitchen,
     run_algorithm,
     serialize_task_tree,
+    serialize_units,
     validate_tree,
 )
-from foon.cli import ReportRow, _assign_slugs, _write_report, main, slugify
+from foon.cli import _assign_slugs, main, slugify
 from tests import golden
 from tests.conftest import DEMO_FOON, DEMO_KITCHEN, write_demo_dataset
 from tests.malform import malformed
@@ -165,20 +165,22 @@ class TestRun:
             assert row["functional_unit_count"] == len(units)
 
     def test_report_rows_are_their_fields_in_declaration_order(self, tmp_path):
-        rows = [
-            ReportRow("drinking glass", "ids", "solved", 2, 5, 0.00125, None, None, None, 3),
-            ReportRow("b \u00e9", "gbfs_a", "unsolvable", None, 0, 1e-07, "disk full",
-                      "item cannot be produced", '["x",[],[]]', None),
-        ]
+        goals = (
+            '[{"label": "drinking glass", "states": ["contains {ice,water}"]},'
+            ' {"label": "unicorn stew"}]'
+        )
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=goals)
         path = tmp_path / "report.json"
-        _write_report(rows, str(path))
+        assert run_cli(paths, tmp_path / "out", "--report", str(path)) == 2
+        text = path.read_text(encoding="utf-8")
+        rows = json.loads(text)["rows"]
         names = [
             "goal_label", "algorithm", "status", "functional_unit_count", "nodes_expanded",
             "elapsed_seconds", "error", "reason", "missing_key", "final_depth_bound",
         ]
-        assert list(inspect.signature(ReportRow).parameters) == names
-        expected = {"rows": [{name: getattr(row, name) for name in names} for row in rows]}
-        assert path.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
+        assert [list(row) for row in rows] == [names] * (2 * len(ALGORITHMS))
+        assert [row["status"] for row in rows] == ["solved"] * 3 + ["unsolvable"] * 3
+        assert text == json.dumps({"rows": rows}, indent=2) + "\n"
 
     def test_single_algorithm_flag(self, demo_dataset, tmp_path):
         out_dir = tmp_path / "out"
@@ -793,9 +795,96 @@ class TestUsageErrors:
         assert "the following arguments are required: --foon" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("args", [["--help"], ["run", "--help"]])
+    @pytest.mark.parametrize("args", [["--help"], ["run", "--help"], ["dot", "--help"]])
     def test_help_exits_zero(self, args):
         assert run_foon_process(*args) == (0, "")
+
+
+def run_dot(*args, stdout=subprocess.PIPE, **env):
+    """Run ``foon dot`` in its own process, with ``env`` added to this
+    environment; returns the completed process, its output as bytes."""
+    return subprocess.run(
+        [sys.executable, "-m", "foon.cli", "dot", *args],
+        env=_process_env(**env),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        timeout=60,
+    )
+
+
+class TestDot:
+    """``foon dot`` prints the DOT of a whole FOON and keeps the CLI's
+    contract: exit 0 or 1, one ``error:`` line, no traceback."""
+
+    # A leading byte-order mark reads as without.
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_prints_the_dot_of_the_graph(self, tmp_path, bom):
+        foon = tmp_path / "recipes.txt"
+        foon.write_text(bom + DEMO_FOON, encoding="utf-8")
+        result = run_dot("--foon", str(foon))
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout.startswith(b"digraph foon {\n")
+        units, _ = parse_foon_text(DEMO_FOON)
+        assert result.stdout == export_dot(build_graph(units)).encode()
+
+    def test_reports_a_missing_file(self, tmp_path):
+        missing = tmp_path / "missing.txt"
+        result = run_dot("--foon", str(missing))
+        assert (result.returncode, result.stdout) == (1, b"")
+        err = result.stderr.decode()
+        assert err.startswith(f"error: cannot read FOON file {missing}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_reports_a_parse_error_in_one_error_line(self, tmp_path):
+        foon = tmp_path / "recipes.txt"
+        foon.write_text("//\nO cup\nS empty\n//\n")
+        result = run_dot("--foon", str(foon))
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.decode().splitlines() == [
+            f"{foon}: line 2: error: block with no motion line",
+            f"error: {foon}: FOON text did not parse",
+        ]
+
+    def test_reports_a_unit_without_outputs(self, tmp_path):
+        foon = tmp_path / "recipes.txt"
+        foon.write_text("//\nO ice\nS whole\nM crush\n//\n")
+        result = run_dot("--foon", str(foon))
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.decode() == f"error: {foon}: unit 0: no output nodes\n"
+
+    def test_closed_stdout_is_one_error_line(self, tmp_path):
+        foon = tmp_path / "recipes.txt"
+        foon.write_text(DEMO_FOON)
+        # A pipe with no reader, as in `foon dot ... | true`.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = run_dot("--foon", str(foon), stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr.decode().splitlines() == [
+            "error: cannot write standard output: Broken pipe"
+        ]
+
+    def test_label_stdout_cannot_encode_is_an_error_not_an_escape(self, tmp_path):
+        # Graphviz would draw an escaped label as another node.
+        foon = tmp_path / "recipes.txt"
+        foon.write_text(
+            "//\nO caf\u00e9 cup\nS empty\nM pour\nO tea\nS hot\n//\n", encoding="utf-8"
+        )
+        result = run_dot("--foon", str(foon), PYTHONIOENCODING="ascii")
+        assert (result.returncode, result.stdout) == (1, b"")
+        err = result.stderr.decode("ascii")
+        assert err.startswith("error: cannot write standard output: 'ascii' codec can't encode")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_without_foon_exits_one(self):
+        result = run_dot()
+        assert (result.returncode, result.stdout) == (1, b"")
+        err = result.stderr.decode()
+        assert "the following arguments are required: --foon" in err
+        assert "Traceback" not in err
 
 
 class TestBench:
@@ -1118,3 +1207,28 @@ class TestCliContract:
                 assert validate_tree(kitchen, TaskTree(units, goal.key)).ok, kind
                 written += 1
             assert len(list(out_dir.iterdir())) == 2 * written
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 10_000))
+    def test_malformed_foon_file_holds_the_dot_contract(self, data, seed):
+        """``dot`` on a malformed randgen FOON file: exit 0 or 1 and no
+        traceback; on 1 exactly one ``error:`` line; on 0 the DOT of the
+        file as parsed."""
+        units = random_instance(seed, max_units=20, max_keys=10).graph.units
+        kind, raw = data.draw(malformed(serialize_units(units).encode(), is_json=False))
+        with tempfile.TemporaryDirectory() as tmp:
+            foon = Path(tmp) / "recipes.txt"
+            foon.write_bytes(raw)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["dot", "--foon", str(foon)])
+        event(f"{kind}: exit {code}")
+        assert code in (0, 1), kind
+        assert "Traceback" not in stderr.getvalue(), kind
+        if code == 1:
+            errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+            assert len(errors) == 1, (kind, stderr.getvalue())
+            assert stdout.getvalue() == "", kind
+        else:
+            parsed, _ = parse_foon_text(raw.decode("utf-8-sig"))
+            assert stdout.getvalue() == export_dot(build_graph(parsed)), kind

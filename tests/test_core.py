@@ -28,7 +28,6 @@ from foon import (
     reachable_oracle,
     validate_tree,
 )
-from foon.cli import ReportRow
 from foon.core import forward_chain
 from foon.search import ALGORITHMS, finalize_tree, run_algorithm
 from tests.conftest import node_keys, obj, unit
@@ -400,11 +399,6 @@ def _value_pairs():
     )
     tree = TaskTree((mix,), obj("slush").key)
     stats = SearchStats(4, 2, 0.25)
-    row_fields = (
-        "goal_label", "algorithm", "status", "functional_unit_count", "nodes_expanded",
-        "elapsed_seconds", "error", "reason", "missing_key", "final_depth_bound",
-    )
-    row = ("ice", "ids", "unsolvable", None, 4, 0.25, None, "no producer", '["ice",[],[]]', 9)
     return [
         (StateDescriptor, ("label", "relative_container"), (),
          StateDescriptor("In", "Bowl"), StateDescriptor(" in", relative_container="BOWL ")),
@@ -431,7 +425,6 @@ def _value_pairs():
                        missing_key=None)),
         (ParseDiagnostic, ("line_number", "message", "severity"), (),
          ParseDiagnostic(3, "no motion"), ParseDiagnostic(3, "no motion", severity="error")),
-        (ReportRow, row_fields, (), ReportRow(*row), ReportRow(**dict(zip(row_fields, row)))),
     ]
 
 
