@@ -16,12 +16,12 @@ the tree costs, not what the kitchen holds.
 Object identity is canonical: labels, states and ingredients are lowercased,
 trimmed and whitespace-collapsed, and two nodes are the same node exactly
 when their normalized content is equal. Each node computes its key, and
-each unit its input keys, output keys and signature, once on construction;
-there is no process-global cache. The value types are ``__slots__`` classes
-that set each field once in ``__init__``, compare by content and raise
-AttributeError on assignment, so they are safe to share between searches;
-the one thing a graph remembers, its live-producer index for the last
-kitchen, is a pure function of the graph and that kitchen.
+each unit its keys and signature, as JSON text (a string caches its
+hash), once on construction; there is no process-global cache. The value
+types are ``__slots__`` classes that set each field once in ``__init__``,
+compare by content and raise AttributeError on assignment, so they are safe
+to share between searches; the one thing a graph remembers, its
+live-producer index for the last kitchen, is a pure function of both.
 """
 
 from __future__ import annotations
@@ -197,11 +197,12 @@ class FunctionalUnit(_Value):
     """One recipe step: input objects, a single motion, output objects.
 
     ``input_keys`` and ``output_keys`` are the node keys of ``inputs`` and
-    ``outputs``, and ``signature`` is the unit's structural identity: input
-    key multiset, motion label, output key multiset. All three are computed
-    once on construction. The signature deliberately ignores the motion's
-    success rate and the unit index, so re-weighted or re-numbered copies of
-    the same step compare equal.
+    ``outputs``. ``signature``, the unit's structural identity, is the JSON
+    text ``[[sorted input keys],"motion label",[sorted output keys]]``, a
+    string so that it caches its hash. All three are computed once on
+    construction. The signature deliberately ignores the motion's success
+    rate and the unit index, so re-weighted or re-numbered copies of the
+    same step compare equal.
     """
 
     _fields = ("inputs", "motion", "outputs", "unit_index")
@@ -212,7 +213,8 @@ class FunctionalUnit(_Value):
         inputs, outputs = tuple(inputs), tuple(outputs)
         input_keys = tuple([node.key for node in inputs])
         output_keys = tuple([node.key for node in outputs])
-        signature = (tuple(sorted(input_keys)), motion.label, tuple(sorted(output_keys)))
+        signature = (f"[[{','.join(sorted(input_keys))}],{_quote(motion.label)},"
+                     f"[{','.join(sorted(output_keys))}]]")
         self._fill(inputs, motion, outputs, unit_index, input_keys, output_keys, signature)
 
     def _fill(self, inputs, motion, outputs, unit_index, input_keys, output_keys, signature):
@@ -355,7 +357,7 @@ def build_graph(units: list[FunctionalUnit] | tuple[FunctionalUnit, ...]) -> Foo
     with no inputs or no outputs.
     """
     kept: list[FunctionalUnit] = []
-    seen: set[tuple] = set()
+    seen: set[str] = set()
     producers: dict[NodeKey, list[FunctionalUnit]] = {}
     for source_index, unit in enumerate(units):
         if not unit.inputs:
@@ -446,7 +448,7 @@ def validate_tree(kitchen: Kitchen, tree: TaskTree) -> ValidationReport:
 
     kitchen_keys = kitchen.keys
     made: set[NodeKey] = set()
-    seen_signatures: dict[tuple, int] = {}
+    seen_signatures: dict[str, int] = {}
     for i, unit in enumerate(tree.steps):
         for key in unit.input_keys:
             if key not in made and key not in kitchen_keys:

@@ -164,7 +164,7 @@ def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None
     ordered tree still fails :func:`validate_tree`.
     """
     steps: list[FunctionalUnit] = []
-    seen: set[tuple] = set()
+    seen: set[str] = set()
     for unit in reversed(list(discovery)):
         if unit.signature not in seen:
             seen.add(unit.signature)
@@ -225,7 +225,9 @@ def _deepen(
     from there. A bound therefore costs only the work done since the
     previous bound's first cutoff. A frame leaves the stack whole and is
     not changed until a replay puts it back, so the log holds the frames
-    themselves.
+    themselves. A first cutoff with no choice point fails its pass with
+    nothing to undo, so there the bound rises by one in place and the call
+    is made again, and counted, as the next pass would make it.
     """
     stack: list[list] = []
     choices: list[int] = []
@@ -233,8 +235,8 @@ def _deepen(
     trail: list[NodeKey] = []
     discovery: list[FunctionalUnit] = []
     on_path: set[NodeKey] = set()
-    calls = 0
-    for bound in range(max_depth + 1):
+    calls = bound = 0
+    while bound <= max_depth:
         # None until this pass's first cutoff; then the inverse of each
         # change since, oldest first.
         undo: list[tuple] | None = None
@@ -254,6 +256,10 @@ def _deepen(
                 calls += 1
                 if depth >= bound:
                     if undo is None:
+                        if not choices and bound < max_depth:
+                            # No choice point, so the next pass would resume here.
+                            bound += 1
+                            continue
                         undo = []
                     ok = False
                 elif key in kitchen_keys or key in resolved:
@@ -360,6 +366,7 @@ def _deepen(
                 frame = stack[top]
                 frame[2] -= 1
                 frame[3] = at
+        bound += 1
     return None, max_depth, calls
 
 

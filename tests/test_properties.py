@@ -91,6 +91,47 @@ def test_node_key_is_the_compact_json_dump(label, states, ingredients):
     assert json.loads(node.key) == [normalize(label), pairs, sorted(node.ingredients)]
 
 
+any_nodes = st.builds(
+    ObjectNode,
+    any_label,
+    st.frozensets(st.builds(StateDescriptor, any_label, st.none() | any_text), max_size=1),
+    st.frozensets(any_text, max_size=2),
+)
+any_units = st.builds(
+    FunctionalUnit,
+    st.lists(any_nodes, min_size=1, max_size=2).map(tuple),
+    st.builds(MotionNode, any_label),
+    st.lists(any_nodes, min_size=1, max_size=2).map(tuple),
+)
+
+
+def _structure(unit):
+    return sorted(unit.input_keys), unit.motion.label, sorted(unit.output_keys)
+
+
+@given(any_units, any_units, st.data())
+def test_unit_signature_is_the_compact_json_dump(unit, other, data):
+    # Besides two independent units: the first one with its sides shuffled
+    # and either unit's motion, and with one input moved over to the outputs,
+    # so that equal structures and near misses both come up.
+    motion = data.draw(st.sampled_from([unit.motion, other.motion]))
+    inputs = tuple(data.draw(st.permutations(unit.inputs)))
+    outputs = tuple(data.draw(st.permutations(unit.outputs)))
+    drawn = [unit, other, FunctionalUnit(inputs, motion, outputs, 7)]
+    if len(inputs) > 1:
+        drawn.append(FunctionalUnit(inputs[:-1], motion, inputs[-1:] + outputs))
+    for u in drawn:
+        assert u.signature.isascii()
+        assert u.signature == json.dumps(
+            [[json.loads(k) for k in sorted(u.input_keys)], u.motion.label,
+             [json.loads(k) for k in sorted(u.output_keys)]],
+            separators=(",", ":"),
+        )
+    for left in drawn:
+        for right in drawn:
+            assert (left.signature == right.signature) == (_structure(left) == _structure(right))
+
+
 @given(nodes)
 def test_node_key_insensitive_to_case_whitespace_and_order(node):
     scrambled = ObjectNode(
