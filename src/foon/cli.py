@@ -147,9 +147,6 @@ def _run_goals(args, algorithms) -> list[dict]:
     rows: list[dict] = []
     # One memo for the run: each distinct node and unit renders once.
     memo = RenderMemo()
-    # Built here, so the per-kitchen pass is not billed to the first IDS row.
-    if goals and "ids" in algorithms:
-        graph.live_producers(kitchen)
     for goal, slug in zip(goals, _assign_slugs(goals)):
         for algorithm in algorithms:
             # Searches return only validated trees; they are written as is.

@@ -102,6 +102,8 @@ class SearchConfig(_Value):
 
 
 class SearchStats(_Value):
+    """Counters of one search; ``elapsed_seconds`` is its own time, not per-kitchen set-up."""
+
     __slots__ = _fields = ("nodes_expanded", "final_depth_bound", "elapsed_seconds")
 
     def __init__(self, nodes_expanded: int, final_depth_bound: int | None,
@@ -396,7 +398,7 @@ def ids_search(
     stack fail immediately, which bounds the search on cyclic graphs
     without changing what any bound can solve. Only producers the kitchen
     can feed (:meth:`FoonGraph.live_producers`) are tried: the others fail
-    at every bound and leave nothing behind.
+    at every bound and leave nothing behind. That index is built off the clock.
 
     Each pass after the first starts where its predecessor first ran out
     of depth: up to that call no depth test had fired, so a deeper pass
@@ -408,12 +410,12 @@ def ids_search(
     """
     config = config or SearchConfig()
     goal_key = goal.key
+    live = graph.live_producers(kitchen)
     start = time.perf_counter()
 
     tree: TaskTree | None = None
     status = DEPTH_EXHAUSTED
     reason: str | None = None
-    live = graph.live_producers(kitchen)
     if goal_key not in kitchen and goal_key not in live:
         status = UNSOLVABLE
         if not graph.producers_of(goal_key):

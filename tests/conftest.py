@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from foon import (
+    FoonGraph,
     FunctionalUnit,
     Kitchen,
     MotionNode,
@@ -202,3 +205,25 @@ def write_demo_dataset(directory, goals_text=DEMO_GOALS):
 @pytest.fixture
 def demo_dataset(tmp_path):
     return write_demo_dataset(tmp_path / "dataset")
+
+
+# How long the first live-producer index of a test takes to build.
+LIVE_INDEX_SLEEP = 0.05
+
+
+@pytest.fixture
+def slow_live_index(monkeypatch):
+    """Make the first ``FoonGraph.live_producers`` call sleep
+    ``LIVE_INDEX_SLEEP`` seconds, as a slow per-kitchen pass would; returns
+    the list of kitchens it is called with."""
+    calls = []
+    live_producers = FoonGraph.live_producers
+
+    def slow_first_call(graph, kitchen):
+        if not calls:
+            time.sleep(LIVE_INDEX_SLEEP)
+        calls.append(kitchen)
+        return live_producers(graph, kitchen)
+
+    monkeypatch.setattr(FoonGraph, "live_producers", slow_first_call)
+    return calls

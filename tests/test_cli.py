@@ -15,7 +15,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import event, given, settings
 
-import foon.cli
 from foon import (
     ALGORITHMS,
     SOLVED,
@@ -37,7 +36,7 @@ from foon import (
 )
 from foon.cli import _assign_slugs, main, slugify
 from tests import golden
-from tests.conftest import DEMO_FOON, DEMO_KITCHEN, write_demo_dataset
+from tests.conftest import DEMO_FOON, DEMO_KITCHEN, LIVE_INDEX_SLEEP, write_demo_dataset
 from tests.malform import malformed
 from tests.randgen import Instance, node_record, random_instance, write_instance
 
@@ -189,31 +188,20 @@ class TestRun:
         written = sorted(p.name for p in out_dir.iterdir())
         assert written == ["drinking_glass_gbfs_a.txt"]
 
-    @pytest.mark.parametrize(
-        "algorithm, expected",
-        [("all", ["live", "ids", "gbfs_a", "gbfs_b"]), ("gbfs-a", ["gbfs_a"])],
-    )
-    def test_live_index_is_built_before_the_first_search_and_only_for_ids(
-        self, demo_dataset, tmp_path, monkeypatch, algorithm, expected
+    def test_gbfs_only_run_never_builds_the_live_index(
+        self, demo_dataset, tmp_path, slow_live_index
     ):
-        events = []
-        live_producers = foon.FoonGraph.live_producers
-        run_algorithm = foon.cli.run_algorithm
+        assert run_cli(demo_dataset, tmp_path / "out", "--algorithm", "gbfs-a") == 0
+        assert slow_live_index == []
 
-        def spy_live(graph, kitchen):
-            # The first call builds the index; later ones reuse its memo.
-            if graph._live_memo is None:
-                events.append("live")
-            return live_producers(graph, kitchen)
-
-        def spy_run(name, *args):
-            events.append(name)
-            return run_algorithm(name, *args)
-
-        monkeypatch.setattr(foon.FoonGraph, "live_producers", spy_live)
-        monkeypatch.setattr(foon.cli, "run_algorithm", spy_run)
-        assert run_cli(demo_dataset, tmp_path / "out", "--algorithm", algorithm) == 0
-        assert events == expected
+    def test_no_row_pays_for_the_live_index(self, demo_dataset, tmp_path, slow_live_index):
+        # IDS builds the per-kitchen index off its clock, so no row's
+        # elapsed_seconds holds the slow first build.
+        report = tmp_path / "report.json"
+        assert run_cli(demo_dataset, tmp_path / "out", "--report", str(report)) == 0
+        rows = json.loads(report.read_text())["rows"]
+        assert slow_live_index and [row["algorithm"] for row in rows] == list(ALGORITHMS)
+        assert all(row["elapsed_seconds"] < LIVE_INDEX_SLEEP for row in rows), rows
 
     def test_motion_rates_flag_accepted(self, demo_dataset, tmp_path):
         code = run_cli(

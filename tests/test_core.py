@@ -488,7 +488,7 @@ class TestValueSemantics:
 
 def test_the_live_producer_memo_is_the_graph_s_only_write(chain):
     graph, kitchen, _ = chain
-    assert graph._live_memo is None  # the CLI test's spy reads this
+    assert graph._live_memo is None
     live = graph.live_producers(kitchen)
     assert graph._live_memo == (kitchen.keys, live)
     assert graph.live_producers(Kitchen.from_nodes(kitchen.nodes)) is live

@@ -268,3 +268,37 @@ def test_graph_inputs_reach_searches_unchanged(instance):
     ids_search(instance.graph, instance.kitchen, instance.goal)
     assert instance.graph.units == units_before
     assert instance.kitchen.keys == kitchen_before
+
+
+def min_heights(graph, kitchen):
+    """Each reachable key's minimum height: 0 in the kitchen, else the least,
+    over its producers, of 1 + the highest height among the unit's inputs.
+    Unreachable keys are absent. A plain fixpoint over ``graph.units``."""
+    height = dict.fromkeys(kitchen.keys, 0)
+    changed = True
+    while changed:
+        changed = False
+        for unit in graph.units:
+            if all(key in height for key in unit.input_keys):
+                above = 1 + max(height[key] for key in unit.input_keys)
+                for key in unit.output_keys:
+                    if above < height.get(key, above + 1):
+                        height[key] = above
+                        changed = True
+    return height
+
+
+@settings(deadline=None)
+@given(st.builds(random_instance, st.integers(min_value=0, max_value=10**9),
+                 acyclic=st.booleans(), single_producer=st.booleans()))
+def test_ids_depth_bound_is_at_most_one_above_the_minimum_height(instance):
+    # With a cap above the key count, IDS solves exactly the goals of
+    # finite height, and never needs a bound above that height + 1.
+    graph, kitchen = instance.graph, instance.kitchen
+    height = min_heights(graph, kitchen)
+    config = SearchConfig(max_depth=len(instance.pool) + 1)
+    for goal in instance.pool:
+        outcome = ids_search(graph, kitchen, goal, config)
+        assert outcome.solved == (goal.key in height), goal.label
+        if outcome.solved:
+            assert outcome.stats.final_depth_bound <= height[goal.key] + 1, goal.label

@@ -25,7 +25,7 @@ from foon import (
 )
 from foon.core import forward_chain
 from foon.search import HEURISTICS, _deepen
-from tests.conftest import obj, unit
+from tests.conftest import LIVE_INDEX_SLEEP, obj, unit
 from tests.deepen_reference import reference_deepen
 from tests.finalize_reference import reference_finalize
 from tests.finalize_sorted_reference import reference_sorted_finalize
@@ -513,6 +513,12 @@ class TestIdsSearch:
             assert _deepen(live, kitchen.keys, goal.key, max_depth) == expected, max_depth
             assert (expected[0] is not None) == (max_depth >= solved_at), max_depth
             assert expected[1] == min(max_depth, solved_at), max_depth
+
+    def test_elapsed_seconds_excludes_building_the_live_index(self, chain, slow_live_index):
+        graph, kitchen, goal = chain
+        outcome = ids_search(graph, kitchen, goal)
+        assert outcome.status == SOLVED and slow_live_index == [kitchen]
+        assert outcome.stats.elapsed_seconds < LIVE_INDEX_SLEEP
 
     def test_detour_chain_backtracks_into_the_direct_steps(self):
         graph, kitchen, goal = detour_chain()
