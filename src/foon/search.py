@@ -12,11 +12,11 @@ It tries only producers the kitchen can feed and keeps one explicit stack
 of frames, one per item being resolved (slots in :func:`_deepen`), so dead
 producers cost nothing and depth is limited only by the bound. As in a
 Prolog machine, a stack of choice points (the frames with an untried
-producer) makes each failure unwind in one step, and an undo log kept from
-a bound's first cutoff takes a failed bound back to that cutoff, where the
-next bound starts: a bound costs only the work done since the previous
-bound's first cutoff, so an n-unit chain takes time linear in n. A frame
-leaves the stack whole, so the log holds frames, not copies of their slots.
+producer) makes each failure unwind in one step. A failed bound is put
+back to its first cutoff, where the next bound starts, from a copy taken
+there of what the rest of the bound can change (see :func:`_deepen`), so a
+bound costs only its work since the previous bound's first cutoff plus the
+copy, and an n-unit chain takes time linear in n.
 Greedy best-first keeps a FIFO frontier of items to produce and commits to
 one producer per item, with no backtracking; a bad greedy commitment is
 reported as a failure. Its rule is :data:`HEURISTICS`: ``success_rate``
@@ -189,14 +189,6 @@ def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None
     return tree
 
 
-# Undo-log entries that carry no data; a frame pop and an unwind log tuples
-# tagged _POP and _UNWIND.
-_PUSH = ("push",)
-_ADVANCE = ("advance",)
-_POP = "pop"
-_UNWIND = "unwind"
-
-
 def _deepen(
     live: dict[NodeKey, tuple[FunctionalUnit, ...]],
     kitchen_keys: frozenset[NodeKey],
@@ -216,20 +208,22 @@ def _deepen(
     resolved that unit's inputs before ``input_pos``, and the marks are the
     lengths of ``discovery`` and ``trail`` to roll back to if the unit
     fails. The pending resolver call is the top frame's next input, or the
-    goal when the stack is empty.
+    goal when the stack is empty. ``resolved`` is the set of ``trail`` and
+    ``on_path`` that of the stack's keys.
 
     ``choices`` holds, in stack order, the indices of the frames that still
     have an untried producer (the choice points), so a failure unwinds in
     one step to the nearest of them, and the pass fails when there is none.
-    From a pass's first cutoff on, every change to the state is logged, as
-    its inverse, in ``undo``; when the pass fails, replaying that log
-    backwards restores the state of the cutoff, and the next bound starts
-    from there. A bound therefore costs only the work done since the
-    previous bound's first cutoff. A frame leaves the stack whole and is
-    not changed until a replay puts it back, so the log holds the frames
-    themselves. A first cutoff with no choice point fails its pass with
-    nothing to undo, so there the bound rises by one in place and the call
-    is made again, and counted, as the next pass would make it.
+    A first cutoff with no choice point fails its pass with nothing to
+    restore, so there the bound rises by one in place and the call is made
+    again, and counted, as the next pass would make it. Any other first
+    cutoff sets ``saved`` to a copy of what the rest of the pass can change:
+    the frames up to the top choice point (those above it are only cut
+    away), ``choices``, and the tails of ``discovery`` and ``trail`` from
+    the lowest choice point's marks, below which no unwind truncates. A
+    failed pass is put back from that copy and the next bound starts there,
+    so a bound costs its work since the previous bound's first cutoff plus
+    the copy.
     """
     stack: list[list] = []
     choices: list[int] = []
@@ -239,9 +233,7 @@ def _deepen(
     on_path: set[NodeKey] = set()
     calls = bound = 0
     while bound <= max_depth:
-        # None until this pass's first cutoff; then the inverse of each
-        # change since, oldest first.
-        undo: list[tuple] | None = None
+        saved = None
         # ok is the result of the call that just returned, or None while a
         # call is pending. A frame that starts a unit sets its input_pos to
         # -1 and ok to True, so the next step moves on to the unit's first
@@ -257,12 +249,18 @@ def _deepen(
                     key = goal
                 calls += 1
                 if depth >= bound:
-                    if undo is None:
-                        if not choices and bound < max_depth:
-                            # No choice point, so the next pass would resume here.
+                    if saved is None:
+                        if not choices:
+                            # The pass fails, and the next one would resume here.
+                            if bound == max_depth:
+                                return None, max_depth, calls
                             bound += 1
                             continue
-                        undo = []
+                        top, low = choices[-1], stack[choices[0]]
+                        saved = (
+                            [frame.copy() for frame in stack[:top + 1]] + stack[top + 1:],
+                            choices.copy(), low[4], discovery[low[4]:], low[5], trail[low[5]:],
+                        )
                     ok = False
                 elif key in kitchen_keys or key in resolved:
                     ok = True
@@ -275,8 +273,6 @@ def _deepen(
                     discovery.append(producers[0])
                     if len(producers) > 1:
                         choices.append(depth)
-                    if undo is not None:
-                        undo.append(_PUSH)
                     ok = True
                     continue
             if not stack:
@@ -286,14 +282,11 @@ def _deepen(
                 frame = stack[-1]
                 unit = frame[1][frame[2]]
                 frame[3] += 1
-                if undo is not None:
-                    undo.append(_ADVANCE)
                 if frame[3] < len(unit.input_keys):
                     ok = None
                     continue
                 # The top frame's unit resolved: so does its item, and the
                 # frame's other producers are never tried.
-                added = len(trail)
                 for out in unit.output_keys:
                     if out not in resolved:
                         resolved.add(out)
@@ -301,8 +294,6 @@ def _deepen(
                 if choices and choices[-1] == len(stack) - 1:
                     choices.pop()
                 on_path.discard(stack.pop()[0])
-                if undo is not None:
-                    undo.append((_POP, frame, len(trail) - added))
                 continue
 
             # A frame whose last producer failed fails too, and so fails its
@@ -313,13 +304,8 @@ def _deepen(
             top = choices[-1]
             frame = stack[top]
             producers, mark, trail_mark = frame[1], frame[4], frame[5]
-            cut = stack[top + 1:]
-            if undo is not None:
-                undo.append(
-                    (_UNWIND, top, frame[3], cut, discovery[mark:], trail[trail_mark:])
-                )
+            on_path.difference_update(cut_frame[0] for cut_frame in stack[top + 1:])
             del stack[top + 1:]
-            on_path.difference_update(cut_frame[0] for cut_frame in cut)
             del discovery[mark:]
             if len(trail) > trail_mark:
                 resolved.difference_update(trail[trail_mark:])
@@ -333,41 +319,17 @@ def _deepen(
 
         if ok:
             return discovery, bound, calls
-        if undo is None:
+        if saved is None:
             raise RuntimeError(
                 f"internal error: reachable goal failed without a cutoff: {goal}"
             )
-        # Back to the state of this pass's first cutoff, newest change first.
-        for entry in reversed(undo):
-            if entry is _ADVANCE:
-                stack[-1][3] -= 1
-            elif entry is _PUSH:
-                if choices and choices[-1] == len(stack) - 1:
-                    choices.pop()
-                on_path.discard(stack.pop()[0])
-                discovery.pop()
-            elif entry[0] is _POP:
-                _, frame, added = entry
-                if added:
-                    resolved.difference_update(trail[-added:])
-                    del trail[-added:]
-                if frame[2] + 1 < len(frame[1]):
-                    choices.append(len(stack))
-                on_path.add(frame[0])
-                stack.append(frame)
-            else:
-                _, top, at, cut, cut_discovery, cut_trail = entry
-                discovery.pop()
-                discovery.extend(cut_discovery)
-                trail.extend(cut_trail)
-                resolved.update(cut_trail)
-                on_path.update(cut_frame[0] for cut_frame in cut)
-                stack.extend(cut)
-                if not choices or choices[-1] != top:
-                    choices.append(top)
-                frame = stack[top]
-                frame[2] -= 1
-                frame[3] = at
+        # Back to the state of this pass's first cutoff.
+        stack, choices, mark, discovery_tail, trail_mark, trail_tail = saved
+        discovery[mark:] = discovery_tail
+        resolved.difference_update(trail[trail_mark:])
+        trail[trail_mark:] = trail_tail
+        resolved.update(trail_tail)
+        on_path = {frame[0] for frame in stack}
         bound += 1
     return None, max_depth, calls
 
@@ -405,8 +367,9 @@ def ids_search(
     would replay the same steps. Steps, tree and bound are those of
     rerunning every pass from scratch; ``nodes_expanded`` counts only the
     resolver calls actually made. The resolver keeps an explicit stack, so
-    depth is limited only by ``max_depth``, and a pass costs only the work
-    done since the previous pass's first cutoff (see :func:`_deepen`).
+    depth is limited only by ``max_depth``, and a failed pass costs only
+    the work done since its first cutoff plus a copy, taken there, of the
+    state the rest of the pass can change (see :func:`_deepen`).
     """
     config = config or SearchConfig()
     goal_key = goal.key

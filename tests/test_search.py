@@ -78,6 +78,25 @@ def detour_chain(length=60, every=10, detour=3):
     return build_graph(units), Kitchen.from_nodes(items[:1]), items[-1]
 
 
+def wide_then_deep(chains, length, deep):
+    """``chains`` kitchen-fed chains of ``length`` units and one of ``deep``
+    units, whose ends the goal's one producer joins, the deep chain's last.
+    The deep chain's end has a second producer that needs the goal: it is
+    live, but fails at once because the goal is on the path. So each bound
+    that reaches the deep chain without solving it cuts off under that
+    choice point, fails and is restored, with the short chains resolved."""
+    starts, ends, units = [], [], []
+    for name, size in [(f"chain {c}", length) for c in range(chains)] + [("deep", deep)]:
+        items = [obj(f"{name}.{i}") for i in range(size + 1)]
+        units += [unit([a], "cook", [b]) for a, b in zip(items, items[1:])]
+        starts.append(items[0])
+        ends.append(items[-1])
+    goal = obj("goal")
+    units.append(unit(ends, "join", [goal]))
+    units.append(unit([goal], "unjoin", [ends[-1]]))
+    return build_graph(units), Kitchen.from_nodes(starts), goal
+
+
 def side_output():
     """The goal needs ``x``, then a 4-unit chain from the kitchen. ``x``'s
     first producer needs ``d`` and then ``t``, which needs ``m`` two levels
@@ -135,6 +154,21 @@ class TestHeuristicSelect:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             heuristic_select([unit([obj("x")], "m", [obj("g")])], "nope")
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize("max_depth", [0, -3])
+    def test_max_depth_below_one_rejected(self, max_depth):
+        with pytest.raises(ValueError, match=f"^max_depth must be >= 1, got {max_depth}$"):
+            SearchConfig(max_depth)
+
+    def test_run_algorithm_rejects_max_depth_zero(self, chain):
+        with pytest.raises(ValueError, match="^max_depth must be >= 1, got 0$"):
+            run_algorithm("ids", *chain, max_depth=0)
+
+    def test_unknown_heuristic_rejected(self):
+        with pytest.raises(ValueError, match="^unknown heuristic 'fewest'$"):
+            SearchConfig(heuristic="fewest")
 
 
 class TestFinalizeTree:
@@ -499,8 +533,11 @@ class TestIdsSearch:
 
     @pytest.mark.parametrize(
         "instance, solved_at",
-        [(long_chain(300), 301), (trap(), 17), (detour_chain(), 61), (side_output(), 6)],
-        ids=["long_chain", "trap", "detour_chain", "side_output"],
+        [
+            (long_chain(300), 301), (trap(), 17), (detour_chain(), 61), (side_output(), 6),
+            (wide_then_deep(5, 20, 40), 42),
+        ],
+        ids=["long_chain", "trap", "detour_chain", "side_output", "wide_then_deep"],
     )
     def test_deep_choice_points_match_the_snapshot_reference(self, instance, solved_at):
         # Each cap below the solving bound fails every pass and restores
@@ -539,6 +576,27 @@ class TestIdsSearch:
             assert outcome.status == SOLVED
             assert outcome.stats.nodes_expanded == 8002
             assert outcome.stats.final_depth_bound == 4001
+        ids_time = min(outcome.stats.elapsed_seconds for outcome in ids_runs)
+        gbfs_time = min(outcome.stats.elapsed_seconds for outcome in gbfs_runs)
+        assert ids_time < 5 * gbfs_time, (ids_time, gbfs_time)
+
+    def test_a_restored_bound_costs_about_what_gbfs_costs(self):
+        # Bounds 252 to 601 each cut off in the deep chain under its end's
+        # choice point, fail and are restored, with the 40 short chains
+        # resolved. Copying only what the rest of a bound can change keeps
+        # IDS about 2x GBFS here; copying the whole state (the resolved short
+        # chains too) at each of those bounds made it about 20x.
+        graph, kitchen, goal = wide_then_deep(40, 250, 600)
+        config = SearchConfig(max_depth=650)
+        ids_runs = [ids_search(graph, kitchen, goal, config) for _ in range(3)]
+        gbfs_runs = [gbfs_search(graph, kitchen, goal, config) for _ in range(3)]
+        for outcome in ids_runs:
+            assert outcome.status == SOLVED
+            assert outcome.stats.nodes_expanded == 11_594
+            assert outcome.stats.final_depth_bound == 602
+        for outcome in gbfs_runs:
+            assert outcome.status == SOLVED
+            assert outcome.stats.nodes_expanded == 10_601
         ids_time = min(outcome.stats.elapsed_seconds for outcome in ids_runs)
         gbfs_time = min(outcome.stats.elapsed_seconds for outcome in gbfs_runs)
         assert ids_time < 5 * gbfs_time, (ids_time, gbfs_time)
