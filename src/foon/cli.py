@@ -63,7 +63,9 @@ def slugify(label: str) -> str:
     slug = re.sub(r"[^a-z0-9_.-]+", "_", label.replace(" ", "_"))
     if len(slug) > 200:
         import hashlib  # here, so that a run with short labels never loads it
-        slug = f"{slug[:191]}_{hashlib.sha1(label.encode()).hexdigest()[:8]}"
+        # A JSON label can hold a lone surrogate, which strict UTF-8 rejects.
+        digest = hashlib.sha1(label.encode("utf-8", "surrogatepass")).hexdigest()
+        slug = f"{slug[:191]}_{digest[:8]}"
     return slug
 
 

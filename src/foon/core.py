@@ -2,16 +2,18 @@
 
 A FOON is a bipartite graph: object nodes flow into a motion node, which
 transforms them into new object nodes. One motion together with its input
-and output objects is a *functional unit* (one recipe step). A graph is a
-deduplicated store of units plus a producer index mapping each object node
-to the units that output it. A *task tree* is an execution-ordered list of
-units that turns a kitchen (the objects assumed available) into a goal node.
+and output objects is a *functional unit* (one recipe step). A *task tree*
+is an execution-ordered list of units that turns a kitchen (the objects
+assumed available) into a goal node. Each value builds its own indexes:
+``FoonGraph(units)`` drops duplicate units and maps each object node to the
+units that output it, and ``Kitchen(nodes)`` derives its key set.
 
-:func:`forward_chain`, the one forward pass from a kitchen, gives both the
-live-producer index and the step order of every retrieved task tree. It and
-:func:`validate_tree` only read the kitchen's key set: they keep the keys
-derived so far in a set of their own, so checking one task tree costs what
-the tree costs, not what the kitchen holds.
+:func:`forward_chain`, the one forward pass from a kitchen, gives the step
+order of every retrieved task tree; the live-producer index is the producer
+index of the units it fires. It and :func:`validate_tree` only read the
+kitchen's key set: they keep the keys derived so far in a set of their own,
+so checking one task tree costs what the tree costs, not what the kitchen
+holds.
 
 Object identity is canonical: labels, states and ingredients are lowercased,
 trimmed and whitespace-collapsed, and two nodes are the same node exactly
@@ -48,6 +50,7 @@ __all__ = [
 
 import heapq
 from collections import deque
+from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
@@ -106,8 +109,8 @@ class InvalidNodeError(FoonError):
 class InvalidUnitError(FoonError):
     """A functional unit violates its content rules.
 
-    ``unit_index`` is the position of the offending unit in the list that
-    was handed to :func:`build_graph`.
+    ``unit_index`` is the position of the offending unit among the units
+    handed to :class:`FoonGraph` (or :func:`build_graph`, the same call).
     """
 
     def __init__(self, message: str, unit_index: int):
@@ -252,52 +255,76 @@ class FunctionalUnit(_Value):
 
 
 class FoonGraph(_Value):
-    """Deduplicated unit store with a producer index.
+    """Deduplicated unit store with a producer index; :func:`build_graph`
+    is this constructor.
 
-    ``producers`` maps each node key to the units that output it, in
-    ascending ``unit_index`` order. Instances are immutable apart from the
-    memo behind :meth:`live_producers`; build them with :func:`build_graph`.
+    It keeps the first unit of each signature, renumbered densely in order,
+    and raises :class:`InvalidUnitError` with the source position for a unit
+    with no inputs or no outputs. ``producers`` maps each node key to the
+    units that output it, in ascending ``unit_index`` order. Graphs compare
+    by their units but have no hash: the index is a dict, and the memo
+    behind :meth:`live_producers` is written after construction.
     """
 
-    _fields = ("units", "producers")
-    __slots__ = _fields + ("_live_memo",)  # (kitchen keys, live index) of the last call
+    _fields = ("units",)
+    __slots__ = _fields + ("producers", "_live_memo")  # memo: (kitchen keys, live index)
+    __hash__ = None
 
-    def __init__(self, units: tuple[FunctionalUnit, ...] = (), producers: dict | None = None):
-        _set(self, "units", units)
-        _set(self, "producers", {} if producers is None else producers)
+    def __init__(self, units: Iterable[FunctionalUnit] = ()):
+        kept: list[FunctionalUnit] = []
+        seen: set[str] = set()
+        for source_index, unit in enumerate(units):
+            if not unit.inputs:
+                raise InvalidUnitError("no input nodes", source_index)
+            if not unit.outputs:
+                raise InvalidUnitError("no output nodes", source_index)
+            if unit.signature in seen:
+                continue
+            seen.add(unit.signature)
+            if unit.unit_index != len(kept):
+                unit = unit.with_index(len(kept))
+            kept.append(unit)
+        _set(self, "units", tuple(kept))
+        _set(self, "producers", _producer_index(kept))
         _set(self, "_live_memo", None)
 
     def producers_of(self, key: NodeKey) -> tuple[FunctionalUnit, ...]:
         """Units whose outputs contain ``key``, in ascending unit_index order."""
         return self.producers.get(key, ())
 
-    def live_producers(
-        self, kitchen: Kitchen
-    ) -> dict[NodeKey, tuple[FunctionalUnit, ...]]:
-        """The producer index restricted to units the kitchen can feed.
+    def live_producers(self, kitchen: Kitchen) -> dict[NodeKey, tuple[FunctionalUnit, ...]]:
+        """The producer index of the units the kitchen can feed.
 
-        Maps each key to its producers, in ascending unit_index order, whose
-        inputs are all reachable from ``kitchen``; a key with no such
-        producer is absent. One :func:`forward_chain` pass over all units
-        finds the reachable keys. The result is memoized for the last
-        kitchen key set, so every goal searched against one kitchen shares it.
+        These are exactly the units that one :func:`forward_chain` pass
+        from ``kitchen`` fires, indexed in position order, so each key maps
+        to its fed producers in ascending unit_index order and a key with
+        none is absent. The result is memoized for the last kitchen key
+        set, so every goal searched against one kitchen shares it.
         """
         memo = self._live_memo
         if memo is not None and (memo[0] is kitchen.keys or memo[0] == kitchen.keys):
             return memo[1]
 
-        _, reachable = forward_chain(self.units, kitchen.keys)
-        reachable |= kitchen.keys
-        live: dict[NodeKey, tuple[FunctionalUnit, ...]] = {}
-        for key, units in self.producers.items():
-            fed = tuple(u for u in units if reachable.issuperset(u.input_keys))
-            if fed:
-                live[key] = fed
+        fired, _ = forward_chain(self.units, kitchen.keys)
+        live = _producer_index(map(self.units.__getitem__, sorted(fired)))
         _set(self, "_live_memo", (kitchen.keys, live))
         return live
 
     def __len__(self) -> int:
         return len(self.units)
+
+
+build_graph = FoonGraph
+
+
+def _producer_index(units) -> dict[NodeKey, tuple[FunctionalUnit, ...]]:
+    """Map each key that ``units`` output to the units that output it, in
+    the given order; a unit that names one output twice is listed once."""
+    index: dict[NodeKey, list[FunctionalUnit]] = {}
+    for unit in units:
+        for key in dict.fromkeys(unit.output_keys):
+            index.setdefault(key, []).append(unit)
+    return {key: tuple(found) for key, found in index.items()}
 
 
 def forward_chain(
@@ -348,53 +375,22 @@ def forward_chain(
     return fired, made
 
 
-def build_graph(units: list[FunctionalUnit] | tuple[FunctionalUnit, ...]) -> FoonGraph:
-    """Assemble a graph from units, dropping structural duplicates.
-
-    The first occurrence of each structurally identical unit wins;
-    surviving units are re-indexed densely in their original order. Raises
-    :class:`InvalidUnitError` (carrying the source position) for a unit
-    with no inputs or no outputs.
-    """
-    kept: list[FunctionalUnit] = []
-    seen: set[str] = set()
-    producers: dict[NodeKey, list[FunctionalUnit]] = {}
-    for source_index, unit in enumerate(units):
-        if not unit.inputs:
-            raise InvalidUnitError("no input nodes", source_index)
-        if not unit.outputs:
-            raise InvalidUnitError("no output nodes", source_index)
-        if unit.signature in seen:
-            continue
-        seen.add(unit.signature)
-        if unit.unit_index != len(kept):
-            unit = unit.with_index(len(kept))
-        kept.append(unit)
-        for key in dict.fromkeys(unit.output_keys):
-            producers.setdefault(key, []).append(unit)
-    index = {key: tuple(found) for key, found in producers.items()}
-    return FoonGraph(units=tuple(kept), producers=index)
-
-
 class Kitchen(_Value):
     """The set of object nodes available at the start of a task.
 
-    Membership is by node key; the originating nodes are kept for
-    reporting. Deduplicated on construction.
+    ``Kitchen(nodes)`` keeps the first node of each key, in order, and
+    derives ``keys``, their frozenset; membership is by node key.
     """
 
-    __slots__ = _fields = ("nodes", "keys")
+    _fields = ("nodes",)
+    __slots__ = _fields + ("keys",)
 
-    def __init__(self, nodes: tuple[ObjectNode, ...] = (), keys: frozenset = frozenset()):
-        _set(self, "nodes", nodes)
-        _set(self, "keys", keys)
-
-    @classmethod
-    def from_nodes(cls, nodes) -> Kitchen:
+    def __init__(self, nodes: Iterable[ObjectNode] = ()):
         first: dict[NodeKey, ObjectNode] = {}
         for node in nodes:
             first.setdefault(node.key, node)
-        return cls(tuple(first.values()), frozenset(first))
+        _set(self, "nodes", tuple(first.values()))
+        _set(self, "keys", frozenset(first))
 
     def __contains__(self, key: NodeKey) -> bool:
         return key in self.keys

@@ -326,7 +326,7 @@ def _parse_node_records(text: str, what: str) -> list[ObjectNode]:
 
 def parse_kitchen(text: str) -> Kitchen:
     """Read a kitchen document into a deduplicated :class:`Kitchen`."""
-    return Kitchen.from_nodes(_parse_node_records(text, "kitchen"))
+    return Kitchen(_parse_node_records(text, "kitchen"))
 
 
 def parse_goals(text: str) -> list[ObjectNode]:

@@ -96,7 +96,7 @@ def layered():
     """A small layered graph: (graph, kitchen of layer 0, goals on every layer)."""
     units, base, _ = layered_units(layers=6, width=30)
     goals = [unit.outputs[0] for unit in units[::7]]
-    return build_graph(units), Kitchen.from_nodes(base), goals
+    return build_graph(units), Kitchen(base), goals
 
 
 @pytest.fixture
@@ -113,7 +113,7 @@ def sample_graph(sample_unit):
 
 @pytest.fixture
 def sample_kitchen(sample_unit):
-    return Kitchen.from_nodes(sample_unit.inputs)
+    return Kitchen(sample_unit.inputs)
 
 
 @pytest.fixture
@@ -123,7 +123,7 @@ def chain():
     u1 = unit([a], "step one", [b])
     u2 = unit([b], "step two", [g])
     graph = build_graph([u1, u2])
-    return graph, Kitchen.from_nodes([a]), g
+    return graph, Kitchen([a]), g
 
 
 # Three-step demo recipe: crush the ice, scoop it into the glass, pour in

@@ -91,7 +91,7 @@ def random_instance(
     kitchen_nodes = [node for node in pool if rng.random() < 0.3]
     return Instance(
         graph=build_graph(units),
-        kitchen=Kitchen.from_nodes(kitchen_nodes),
+        kitchen=Kitchen(kitchen_nodes),
         goal=rng.choice(pool),
         pool=pool,
     )

@@ -257,7 +257,7 @@ def test_c8_performance_budget():
         assert parse_elapsed < 2.0
 
         graph = build_graph(parsed)
-        kitchen = Kitchen.from_nodes(base)
+        kitchen = Kitchen(base)
         for label, run in (
             ("ids", lambda: ids_search(graph, kitchen, goal)),
             ("gbfs", lambda: gbfs_search(graph, kitchen, goal)),

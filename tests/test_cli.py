@@ -94,6 +94,9 @@ LONG_GOALS = (
     f'[{{"label": "{LONG_LABEL}", "states": ["full"]}},'
     ' {"label": "tea", "states": ["full"]}]'
 )
+# JSON can escape a lone surrogate, which strict UTF-8 cannot encode: the
+# overlong label's slug hashes it all the same.
+SURROGATE_GOALS = '[{"label": "' + "x" * 249 + '\\ud800"}]'
 
 
 def _chain_foon(length):
@@ -399,6 +402,15 @@ class TestRun:
         # Labels alike in their first 200 characters keep distinct slugs.
         slugs = {slugify(LONG_LABEL + end) for end in ("a", "b")}
         assert len(slugs) == 2 and {len(s) for s in slugs} == {200}
+
+    def test_overlong_goal_label_with_a_lone_surrogate_exits_two(self, tmp_path, capsys):
+        paths = write_demo_dataset(tmp_path / "dataset", goals_text=SURROGATE_GOALS)
+        report = tmp_path / "report.json"
+        assert run_cli(paths, tmp_path / "out", "--report", str(report)) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        rows = json.loads(report.read_text())["rows"]
+        assert [row["algorithm"] for row in rows] == list(ALGORITHMS)
+        assert {row["goal_label"] for row in rows} == {"x" * 249 + "\ud800"}
 
     def test_unwritable_tree_file_exits_one_without_traceback(self, tmp_path, capsys):
         # A directory where the IDS tree file should go makes its write fail.
@@ -1073,7 +1085,7 @@ def _relabel(instance: Instance, labels: list[str]) -> Instance:
     ]
     return Instance(
         graph=build_graph(units),
-        kitchen=Kitchen.from_nodes(renamed[n.key] for n in instance.kitchen.nodes),
+        kitchen=Kitchen(renamed[n.key] for n in instance.kitchen.nodes),
         goal=renamed[instance.goal.key],
         pool=list(renamed.values()),
     )

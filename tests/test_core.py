@@ -145,16 +145,24 @@ class TestProducers:
         dead = unit([obj("missing")], "mix", [g])
         live = unit([obj("a")], "pour", [g])
         graph = build_graph([dead, live])
-        kitchen = Kitchen.from_nodes([obj("a")])
+        kitchen = Kitchen([obj("a")])
         assert graph.live_producers(kitchen) == {g.key: (graph.units[1],)}
-        assert graph.live_producers(Kitchen.from_nodes([])) == {}
+        assert graph.live_producers(Kitchen([])) == {}
+
+    def test_a_unit_naming_one_output_twice_is_listed_once(self):
+        g = obj("g")
+        twice = unit([obj("a")], "mix", [g, obj(" G"), obj("h")])
+        graph = build_graph([twice])
+        expected = {g.key: graph.units, obj("h").key: graph.units}
+        assert graph.producers == expected
+        assert graph.live_producers(Kitchen([obj("a")])) == expected
 
     def test_live_producers_are_memoized_for_the_last_kitchen(self, chain):
         graph, kitchen, _ = chain
         first = graph.live_producers(kitchen)
         assert graph.live_producers(kitchen) is first
-        assert graph.live_producers(Kitchen.from_nodes(kitchen.nodes)) is first
-        assert graph.live_producers(Kitchen.from_nodes([])) == {}
+        assert graph.live_producers(Kitchen(kitchen.nodes)) is first
+        assert graph.live_producers(Kitchen([])) == {}
         assert graph.live_producers(kitchen) == first
         assert graph == build_graph(list(graph.units))
 
@@ -284,7 +292,7 @@ def test_forward_chain_and_validate_tree_match_the_mutating_reference(monkeypatc
 class TestReachableOracle:
     def test_goal_already_in_kitchen(self):
         graph = build_graph([])
-        kitchen = Kitchen.from_nodes([obj("a")])
+        kitchen = Kitchen([obj("a")])
         assert reachable_oracle(graph, kitchen, obj("a").key)
 
     def test_two_round_chain(self, chain):
@@ -298,16 +306,16 @@ class TestReachableOracle:
     def test_cycle_does_not_hang(self):
         a, b = obj("a"), obj("b")
         graph = build_graph([unit([a], "m1", [b]), unit([b], "m2", [a])])
-        assert not reachable_oracle(graph, Kitchen.from_nodes([]), a.key)
-        assert reachable_oracle(graph, Kitchen.from_nodes([b]), a.key)
+        assert not reachable_oracle(graph, Kitchen([]), a.key)
+        assert reachable_oracle(graph, Kitchen([b]), a.key)
 
 
 class TestValidateTree:
     def test_empty_tree_ok_iff_goal_in_kitchen(self):
         a = obj("a")
         tree = TaskTree(steps=(), goal=a.key)
-        assert validate_tree(Kitchen.from_nodes([a]), tree).ok
-        assert not validate_tree(Kitchen.from_nodes([]), tree).ok
+        assert validate_tree(Kitchen([a]), tree).ok
+        assert not validate_tree(Kitchen([]), tree).ok
 
     def test_chain_in_order_is_ok(self, chain):
         graph, kitchen, goal = chain
@@ -381,7 +389,7 @@ def test_with_index_matches_replace_in_build_graph():
 
 
 def test_kitchen_deduplicates_by_key():
-    kitchen = Kitchen.from_nodes([obj("Milk"), obj("milk "), obj("egg")])
+    kitchen = Kitchen([obj("Milk"), obj("milk "), obj("egg")])
     assert len(kitchen) == 2
     assert obj("milk").key in kitchen
 
@@ -407,11 +415,11 @@ def _value_pairs():
          MotionNode("Pour", 0.5), MotionNode("pour ", success_rate=0.5)),
         (FunctionalUnit, ("inputs", "motion", "outputs", "unit_index"),
          ("input_keys", "output_keys", "signature"), mix, mix_again),
-        (FoonGraph, ("units", "producers"), ("_live_memo",),
+        (FoonGraph, ("units",), ("producers", "_live_memo"),
          build_graph([mix]), build_graph([mix_again])),
-        (Kitchen, ("nodes", "keys"), (),
-         Kitchen.from_nodes([ice, obj("glass")]),
-         Kitchen.from_nodes([ice_again, obj("Glass"), ice])),
+        (Kitchen, ("nodes",), ("keys",),
+         Kitchen([ice, obj("glass")]),
+         Kitchen([ice_again, obj("Glass"), ice])),
         (TaskTree, ("steps", "goal"), (), tree, TaskTree(steps=[mix_again], goal=tree.goal)),
         (ValidationReport, ("violations",), (),
          ValidationReport(("step 0: x",)), ValidationReport(violations=("step 0: x",))),
@@ -491,7 +499,7 @@ def test_the_live_producer_memo_is_the_graph_s_only_write(chain):
     assert graph._live_memo is None
     live = graph.live_producers(kitchen)
     assert graph._live_memo == (kitchen.keys, live)
-    assert graph.live_producers(Kitchen.from_nodes(kitchen.nodes)) is live
+    assert graph.live_producers(Kitchen(kitchen.nodes)) is live
     with pytest.raises(AttributeError):
         graph._live_memo = None
     assert FoonGraph().producers == {} and FoonGraph().producers is not FoonGraph().producers

@@ -171,7 +171,7 @@ def test_live_producers_are_exactly_those_the_oracle_can_feed(instance):
 def test_oracle_is_monotone_in_the_kitchen(instance):
     goal = instance.goal.key
     small = instance.kitchen
-    large = Kitchen.from_nodes(list(small.nodes) + instance.pool)
+    large = Kitchen(list(small.nodes) + instance.pool)
     if reachable_oracle(instance.graph, small, goal):
         assert reachable_oracle(instance.graph, large, goal)
 

@@ -4,6 +4,7 @@ from collections import deque
 
 import pytest
 
+import foon.core
 import foon.search
 from foon import (
     ALGORITHMS,
@@ -41,7 +42,7 @@ def long_chain(length, kitchen_has_start=True):
     """``item 0`` --> ``item 1`` --> ... --> ``item <length>``, as (graph, kitchen, goal)."""
     items = [obj(f"item {i}") for i in range(length + 1)]
     units = [unit([items[i]], "cook", [items[i + 1]], index=i) for i in range(length)]
-    kitchen = Kitchen.from_nodes(items[:1] if kitchen_has_start else [])
+    kitchen = Kitchen(items[:1] if kitchen_has_start else [])
     return build_graph(units), kitchen, items[-1]
 
 
@@ -59,7 +60,7 @@ def trap(levels=40, good=16):
     units.append(unit([obj("missing")], "dead end", [traps[levels]]))
     units += [unit([path[i]], "step", [path[i + 1]]) for i in range(good - 1)]
     units.append(unit([path[-1]], "finish", [goal]))
-    return build_graph(units), Kitchen.from_nodes(path[:1]), goal
+    return build_graph(units), Kitchen(path[:1]), goal
 
 
 def detour_chain(length=60, every=10, detour=3):
@@ -75,7 +76,7 @@ def detour_chain(length=60, every=10, detour=3):
             units += [unit([a], "wander", [b]) for a, b in zip(way, way[1:])]
             units.append(unit([way[-1]], "arrive", [items[i]]))
         units.append(unit([items[i - 1]], "cook", [items[i]]))
-    return build_graph(units), Kitchen.from_nodes(items[:1]), items[-1]
+    return build_graph(units), Kitchen(items[:1]), items[-1]
 
 
 def wide_then_deep(chains, length, deep):
@@ -94,7 +95,7 @@ def wide_then_deep(chains, length, deep):
     goal = obj("goal")
     units.append(unit(ends, "join", [goal]))
     units.append(unit([goal], "unjoin", [ends[-1]]))
-    return build_graph(units), Kitchen.from_nodes(starts), goal
+    return build_graph(units), Kitchen(starts), goal
 
 
 def side_output():
@@ -127,7 +128,7 @@ def side_output():
         unit([f4], "knead", [f3]),
         unit([flour], "knead", [f4]),
     ]
-    return build_graph(units), Kitchen.from_nodes(kitchen), goal
+    return build_graph(units), Kitchen(kitchen), goal
 
 
 class TestHeuristicSelect:
@@ -175,7 +176,7 @@ class TestFinalizeTree:
     def test_reverses_discovery_order(self):
         u1 = unit([obj("a")], "m1", [obj("b")], index=0)
         u2 = unit([obj("b")], "m2", [obj("g")], index=1)
-        tree = finalize_tree([u2, u1], obj("g").key, Kitchen.from_nodes([obj("a")]))
+        tree = finalize_tree([u2, u1], obj("g").key, Kitchen([obj("a")]))
         assert list(tree.steps) == [u1, u2]
 
     def test_deduplicates_keeping_earliest_execution_occurrence(self):
@@ -186,7 +187,7 @@ class TestFinalizeTree:
         u2 = unit([obj("a")], "m2", [obj("c")], index=1)
         u3 = unit([obj("b"), obj("c")], "m3", [obj("g")], index=2)
         u2_copy = unit([obj("a")], "m2", [obj("c")], index=7, rate=0.5)
-        kitchen = Kitchen.from_nodes([obj("a")])
+        kitchen = Kitchen([obj("a")])
         tree = finalize_tree([u3, u2, u1, u2_copy], obj("g").key, kitchen)
         assert list(tree.steps) == [u1, u2_copy, u3]
 
@@ -196,22 +197,22 @@ class TestFinalizeTree:
         u1 = unit([obj("a")], "m1", [obj("b")], index=3)
         u2 = unit([obj("a")], "m2", [obj("c")], index=5)
         u3 = unit([obj("b"), obj("c")], "m3", [obj("g")], index=4)
-        kitchen = Kitchen.from_nodes([obj("a")])
+        kitchen = Kitchen([obj("a")])
         for discovery in itertools.permutations([u1, u2, u3]):
             tree = finalize_tree(discovery, obj("g").key, kitchen)
             assert list(tree.steps) == [u1, u2, u3], discovery
 
     def test_empty_discovery(self):
         goal = obj("g")
-        tree = finalize_tree([], goal.key, Kitchen.from_nodes([goal]))
+        tree = finalize_tree([], goal.key, Kitchen([goal]))
         assert tree.steps == ()
         with pytest.raises(RuntimeError, match="empty tree"):
-            finalize_tree([], goal.key, Kitchen.from_nodes([]))
+            finalize_tree([], goal.key, Kitchen([]))
 
     def test_trims_after_last_goal_producer(self):
         u1 = unit([obj("a")], "m1", [obj("g")], index=0)
         u2 = unit([obj("g")], "m2", [obj("h")], index=1)
-        tree = finalize_tree([u1, u2], obj("g").key, Kitchen.from_nodes([obj("a")]))
+        tree = finalize_tree([u1, u2], obj("g").key, Kitchen([obj("a")]))
         assert list(tree.steps) == [u1]
 
     def test_matches_the_three_pass_reference(self):
@@ -328,28 +329,37 @@ def _finalize_corpus(seed):
 def test_every_layered_tree_is_ordered_in_one_scan(layered, monkeypatch):
     """The work of ordering, as a count: on the layered fixture, each of the
     78 trees of the three algorithms fires its sorted units in list order,
-    so ``forward_chain`` never takes its counter-and-heap path."""
+    so ``forward_chain`` never takes its counter-and-heap path. The kitchen
+    pass behind the live-producer index runs once over the whole graph,
+    for all 78 searches."""
     calls = []
+    graph_passes = []
 
     def spy_forward_chain(units, kitchen_keys):
         fired, made = forward_chain(units, kitchen_keys)
         calls.append(fired == list(range(len(units))))
         return fired, made
 
+    def spy_kitchen_pass(units, kitchen_keys):
+        graph_passes.append(units is graph.units)
+        return forward_chain(units, kitchen_keys)
+
     monkeypatch.setattr(foon.search, "forward_chain", spy_forward_chain)
+    monkeypatch.setattr(foon.core, "forward_chain", spy_kitchen_pass)
     graph, kitchen, goals = layered
     for goal in goals:
         for name in ALGORITHMS:
             assert run_algorithm(name, graph, kitchen, goal).solved
     assert len(calls) == 78
     assert calls.count(False) == 0
+    assert graph_passes == [True]
 
 
 class TestIdsSearch:
     def test_goal_in_kitchen_succeeds_at_bound_one(self):
         graph = build_graph([])
         goal = obj("a")
-        outcome = ids_search(graph, Kitchen.from_nodes([goal]), goal)
+        outcome = ids_search(graph, Kitchen([goal]), goal)
         assert outcome.status == SOLVED
         assert outcome.tree  # a tree with no steps is still a tree
         assert outcome.tree.steps == ()
@@ -386,7 +396,7 @@ class TestIdsSearch:
         dead = unit([obj("missing")], "bad route", [g], index=0)
         live = unit([obj("a")], "good route", [g], index=1)
         graph = build_graph([dead, live])
-        outcome = ids_search(graph, Kitchen.from_nodes([obj("a")]), g)
+        outcome = ids_search(graph, Kitchen([obj("a")]), g)
         assert outcome.status == SOLVED
         assert [u.motion.label for u in outcome.tree.steps] == ["good route"]
 
@@ -397,7 +407,7 @@ class TestIdsSearch:
         make_y = unit([x], "make y", [y], index=1)
         make_g = unit([x, y], "make g", [g], index=2)
         graph = build_graph([make_x, make_y, make_g])
-        kitchen = Kitchen.from_nodes([a])
+        kitchen = Kitchen([a])
         outcome = ids_search(graph, kitchen, g)
         assert outcome.status == SOLVED
         assert validate_tree(kitchen, outcome.tree).ok
@@ -412,7 +422,7 @@ class TestIdsSearch:
         graph = build_graph([unit([a], "m1", [b], index=0), unit([b], "m2", [a], index=1)])
         for max_depth in (1, 2, 100):
             config = SearchConfig(max_depth=max_depth)
-            outcome = ids_search(graph, Kitchen.from_nodes([]), a, config)
+            outcome = ids_search(graph, Kitchen([]), a, config)
             assert outcome.status == UNSOLVABLE
 
     def test_deterministic(self, chain):
@@ -606,7 +616,7 @@ class TestGbfsSearch:
     def test_goal_in_kitchen(self):
         graph = build_graph([])
         goal = obj("a")
-        outcome = gbfs_search(graph, Kitchen.from_nodes([goal]), goal)
+        outcome = gbfs_search(graph, Kitchen([goal]), goal)
         assert outcome.status == SOLVED
         assert outcome.tree  # a tree with no steps is still a tree
         assert outcome.tree.steps == ()
@@ -617,7 +627,7 @@ class TestGbfsSearch:
         wide = unit([obj("x"), obj("y"), obj("z")], "reliable", [g], index=0, rate=0.9)
         narrow = unit([obj("w")], "lean", [g], index=1, rate=0.5)
         graph = build_graph([wide, narrow])
-        kitchen = Kitchen.from_nodes([obj("x"), obj("y"), obj("z"), obj("w")])
+        kitchen = Kitchen([obj("x"), obj("y"), obj("z"), obj("w")])
 
         by_rate = gbfs_search(graph, kitchen, g, SearchConfig(heuristic=SUCCESS_RATE))
         assert [u.motion.label for u in by_rate.tree.steps] == ["reliable"]
@@ -630,7 +640,7 @@ class TestGbfsSearch:
         top = unit([x], "assemble", [g], index=0)
         mid = unit([z], "prepare", [x], index=1, rate=1.0)
         graph = build_graph([top, mid])
-        outcome = gbfs_search(graph, Kitchen.from_nodes([]), g)
+        outcome = gbfs_search(graph, Kitchen([]), g)
         assert outcome.status == UNSOLVABLE
         assert outcome.missing_key == z.key
         assert outcome.tree is None
@@ -641,7 +651,7 @@ class TestGbfsSearch:
         trap = unit([obj("missing")], "tempting", [g], index=0, rate=0.9)
         works = unit([obj("a")], "works", [g], index=1, rate=0.1)
         graph = build_graph([trap, works])
-        kitchen = Kitchen.from_nodes([obj("a")])
+        kitchen = Kitchen([obj("a")])
         outcome = gbfs_search(graph, kitchen, g, SearchConfig(heuristic=SUCCESS_RATE))
         assert outcome.status == UNSOLVABLE
         assert outcome.missing_key == obj("missing").key
@@ -649,7 +659,7 @@ class TestGbfsSearch:
     def test_circular_selection_is_a_failure_not_a_bogus_tree(self):
         a, b = obj("a"), obj("b")
         graph = build_graph([unit([b], "m1", [a], index=0), unit([a], "m2", [b], index=1)])
-        outcome = gbfs_search(graph, Kitchen.from_nodes([]), a)
+        outcome = gbfs_search(graph, Kitchen([]), a)
         assert outcome.status == UNSOLVABLE
         assert outcome.tree is None
         assert outcome.reason is not None
@@ -660,7 +670,7 @@ class TestGbfsSearch:
         make_y = unit([x], "make y", [y], index=1)
         make_g = unit([x, y], "make g", [g], index=2)
         graph = build_graph([make_x, make_y, make_g])
-        kitchen = Kitchen.from_nodes([a])
+        kitchen = Kitchen([a])
         for heuristic in (SUCCESS_RATE, INPUT_COUNT):
             outcome = gbfs_search(graph, kitchen, g, SearchConfig(heuristic=heuristic))
             assert outcome.status == SOLVED
