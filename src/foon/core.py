@@ -378,8 +378,10 @@ def forward_chain(
 class Kitchen(_Value):
     """The set of object nodes available at the start of a task.
 
-    ``Kitchen(nodes)`` keeps the first node of each key, in order, and
-    derives ``keys``, their frozenset; membership is by node key.
+    ``Kitchen(nodes)`` keeps the first node of each key, in key order, and
+    derives ``keys``, their frozenset; membership is by node key. Nodes of
+    equal key are equal, so kitchens of one key set are equal and hash
+    alike, whatever order their nodes were listed in.
     """
 
     _fields = ("nodes",)
@@ -389,7 +391,7 @@ class Kitchen(_Value):
         first: dict[NodeKey, ObjectNode] = {}
         for node in nodes:
             first.setdefault(node.key, node)
-        _set(self, "nodes", tuple(first.values()))
+        _set(self, "nodes", tuple([first[key] for key in sorted(first)]))
         _set(self, "keys", frozenset(first))
 
     def __contains__(self, key: NodeKey) -> bool:

@@ -8,15 +8,9 @@ Iterative deepening (:func:`ids_search`, its one entry point) runs
 depth-limited passes with bounds 0, 1, 2, ... in one resolver loop and
 backtracks across alternative producers, so it succeeds exactly on the
 instances where the goal is reachable at all (up to the configured bound).
-It tries only producers the kitchen can feed and keeps one explicit stack
-of frames, one per item being resolved (slots in :func:`_deepen`), so dead
-producers cost nothing and depth is limited only by the bound. As in a
-Prolog machine, a stack of choice points (the frames with an untried
-producer) makes each failure unwind in one step. A failed bound is put
-back to its first cutoff, where the next bound starts, from a copy taken
-there of what the rest of the bound can change (see :func:`_deepen`), so a
-bound costs only its work since the previous bound's first cutoff plus the
-copy, and an n-unit chain takes time linear in n.
+It tries only producers the kitchen can feed, keeps one explicit stack of
+frames and starts each bound where the previous one first ran out of
+depth, so an n-unit chain takes time linear in n (see :func:`_deepen`).
 Greedy best-first keeps a FIFO frontier of items to produce and commits to
 one producer per item, with no backtracking; a bad greedy commitment is
 reported as a failure. Its rule is :data:`HEURISTICS`: ``success_rate``
@@ -200,7 +194,10 @@ def _deepen(
     Returns ``(discovery, bound, calls)``: the goal-first discovery list of
     the first pass that resolves the goal (None when none does), that
     pass's bound (``max_depth`` when none does) and the number of resolver
-    calls made.
+    calls made. Precondition: ``goal`` is in ``kitchen_keys`` or in
+    ``live``, and ``live`` indexes only producers the kitchen can feed, each
+    with at least one input. So every item a pass asks for is in the
+    kitchen or has a live producer, and only a cutoff or a cycle fails it.
 
     Frame ``i`` of ``stack`` resolves an item at depth ``i``; it is the list
     ``[key, producers, unit_pos, input_pos, discovery_mark, trail_mark]``:
@@ -208,22 +205,27 @@ def _deepen(
     resolved that unit's inputs before ``input_pos``, and the marks are the
     lengths of ``discovery`` and ``trail`` to roll back to if the unit
     fails. The pending resolver call is the top frame's next input, or the
-    goal when the stack is empty. ``resolved`` is the set of ``trail`` and
-    ``on_path`` that of the stack's keys.
+    goal when the stack is empty; a call that succeeds with the stack empty
+    solves the goal. ``resolved`` is the set of ``trail`` and ``on_path``
+    that of the stack's keys.
 
     ``choices`` holds, in stack order, the indices of the frames that still
     have an untried producer (the choice points), so a failure unwinds in
-    one step to the nearest of them, and the pass fails when there is none.
-    A first cutoff with no choice point fails its pass with nothing to
-    restore, so there the bound rises by one in place and the call is made
-    again, and counted, as the next pass would make it. Any other first
-    cutoff sets ``saved`` to a copy of what the rest of the pass can change:
-    the frames up to the top choice point (those above it are only cut
-    away), ``choices``, and the tails of ``discovery`` and ``trail`` from
-    the lowest choice point's marks, below which no unwind truncates. A
-    failed pass is put back from that copy and the next bound starts there,
-    so a bound costs its work since the previous bound's first cutoff plus
-    the copy.
+    one step to the nearest of them and goes on with its next producer.
+    A failure with no choice point fails the pass. Each pass runs on from
+    where its predecessor first ran out of depth, since up to that call a
+    deeper pass would replay the same steps. So a pass's first cutoff sets
+    ``saved``: to ``()`` when there is no choice point, as the pass then
+    fails at once with nothing to restore, and otherwise to a copy of what
+    the rest of the pass can change: the frames up to the top choice point
+    (those above it are only cut away), ``choices``, and the tails of
+    ``discovery`` and ``trail`` from the lowest choice point's marks, below
+    which no unwind truncates. Every failed pass ends at one site: the state
+    is put back from ``saved`` if that holds a copy, the bound rises by one,
+    and the cut-off call is made again, and counted, as the next pass. So a
+    bound costs its work since the previous bound's first cutoff plus the
+    copy, and an n-unit chain takes time linear in n. A pass that fails
+    before any cutoff breaks the precondition (an internal error).
     """
     stack: list[list] = []
     choices: list[int] = []
@@ -232,75 +234,64 @@ def _deepen(
     discovery: list[FunctionalUnit] = []
     on_path: set[NodeKey] = set()
     calls = bound = 0
-    while bound <= max_depth:
-        saved = None
-        # ok is the result of the call that just returned, or None while a
-        # call is pending. A frame that starts a unit sets its input_pos to
-        # -1 and ok to True, so the next step moves on to the unit's first
-        # input.
-        ok = None
-        while True:
-            if ok is None:
-                depth = len(stack)
-                if depth:
-                    frame = stack[-1]
-                    key = frame[1][frame[2]].input_keys[frame[3]]
-                else:
-                    key = goal
-                calls += 1
-                if depth >= bound:
-                    if saved is None:
-                        if not choices:
-                            # The pass fails, and the next one would resume here.
-                            if bound == max_depth:
-                                return None, max_depth, calls
-                            bound += 1
-                            continue
+    # ok is the result of the call that just returned, or None while a call
+    # is pending; saved is None until the pass's first cutoff.
+    saved = ok = None
+    while True:
+        if ok is None:
+            depth = len(stack)
+            if depth:
+                frame = stack[-1]
+                key = frame[1][frame[2]].input_keys[frame[3]]
+            else:
+                key = goal
+            calls += 1
+            if depth >= bound:
+                if saved is None:
+                    if choices:
                         top, low = choices[-1], stack[choices[0]]
                         saved = (
                             [frame.copy() for frame in stack[:top + 1]] + stack[top + 1:],
                             choices.copy(), low[4], discovery[low[4]:], low[5], trail[low[5]:],
                         )
-                    ok = False
-                elif key in kitchen_keys or key in resolved:
-                    ok = True
-                elif key in on_path or key not in live:
-                    ok = False
-                else:
-                    producers = live[key]
-                    on_path.add(key)
-                    stack.append([key, producers, 0, -1, len(discovery), len(trail)])
-                    discovery.append(producers[0])
-                    if len(producers) > 1:
-                        choices.append(depth)
-                    ok = True
-                    continue
-            if not stack:
-                break
-
-            if ok:
-                frame = stack[-1]
-                unit = frame[1][frame[2]]
-                frame[3] += 1
-                if frame[3] < len(unit.input_keys):
-                    ok = None
-                    continue
-                # The top frame's unit resolved: so does its item, and the
-                # frame's other producers are never tried.
-                for out in unit.output_keys:
-                    if out not in resolved:
-                        resolved.add(out)
-                        trail.append(out)
-                if choices and choices[-1] == len(stack) - 1:
-                    choices.pop()
-                on_path.discard(stack.pop()[0])
+                    else:
+                        saved = ()
+                ok = False
+            elif key in kitchen_keys or key in resolved:
+                ok = True
+            elif key in on_path:
+                ok = False
+            else:
+                producers = live[key]
+                on_path.add(key)
+                stack.append([key, producers, 0, 0, len(discovery), len(trail)])
+                discovery.append(producers[0])
+                if len(producers) > 1:
+                    choices.append(depth)
                 continue
 
+        if ok:
+            if not stack:
+                return discovery, bound, calls
+            frame = stack[-1]
+            unit = frame[1][frame[2]]
+            frame[3] += 1
+            if frame[3] < len(unit.input_keys):
+                ok = None
+                continue
+            # The top frame's unit resolved: so does its item, and the
+            # frame's other producers are never tried.
+            for out in unit.output_keys:
+                if out not in resolved:
+                    resolved.add(out)
+                    trail.append(out)
+            if choices and choices[-1] == len(stack) - 1:
+                choices.pop()
+            on_path.discard(stack.pop()[0])
+        elif choices:
             # A frame whose last producer failed fails too, and so fails its
             # parent's unit: unwind in one step to the nearest choice point,
             # rolling back to that frame's marks, and try its next producer.
-            if not choices:
-                break
             top = choices[-1]
             frame = stack[top]
             producers, mark, trail_mark = frame[1], frame[4], frame[5]
@@ -314,24 +305,26 @@ def _deepen(
             if frame[2] + 1 == len(producers):
                 choices.pop()
             discovery.append(producers[frame[2]])
-            frame[3] = -1
-            ok = True
-
-        if ok:
-            return discovery, bound, calls
-        if saved is None:
-            raise RuntimeError(
-                f"internal error: reachable goal failed without a cutoff: {goal}"
-            )
-        # Back to the state of this pass's first cutoff.
-        stack, choices, mark, discovery_tail, trail_mark, trail_tail = saved
-        discovery[mark:] = discovery_tail
-        resolved.difference_update(trail[trail_mark:])
-        trail[trail_mark:] = trail_tail
-        resolved.update(trail_tail)
-        on_path = {frame[0] for frame in stack}
-        bound += 1
-    return None, max_depth, calls
+            frame[3] = 0
+            ok = None
+        else:
+            # The pass fails: put back the state of its first cutoff, if it
+            # took a copy there, and make the cut-off call one bound deeper.
+            if saved is None:
+                raise RuntimeError(
+                    f"internal error: reachable goal failed without a cutoff: {goal}"
+                )
+            if bound == max_depth:
+                return None, max_depth, calls
+            if saved:
+                stack, choices, mark, discovery_tail, trail_mark, trail_tail = saved
+                discovery[mark:] = discovery_tail
+                resolved.difference_update(trail[trail_mark:])
+                trail[trail_mark:] = trail_tail
+                resolved.update(trail_tail)
+                on_path = {frame[0] for frame in stack}
+            saved = ok = None
+            bound += 1
 
 
 def ids_search(
@@ -350,26 +343,19 @@ def ids_search(
     other goal is reachable, and some bound solves it. On success the
     returned tree validates against the same kitchen.
 
-    Resolution of one item in a pass: fail when the remaining depth is
-    below 1; then succeed when the item is in the kitchen or already
-    resolved; otherwise try each producing unit in ascending unit-index
-    order, resolving every input one level deeper. A unit whose inputs all
-    resolve is accepted and its outputs become available to the rest of
-    the pass; on failure its partial discoveries are rolled back and the
-    next producer is tried. Items already being resolved further up the
-    stack fail immediately, which bounds the search on cyclic graphs
-    without changing what any bound can solve. Only producers the kitchen
-    can feed (:meth:`FoonGraph.live_producers`) are tried: the others fail
-    at every bound and leave nothing behind. That index is built off the clock.
-
-    Each pass after the first starts where its predecessor first ran out
-    of depth: up to that call no depth test had fired, so a deeper pass
-    would replay the same steps. Steps, tree and bound are those of
-    rerunning every pass from scratch; ``nodes_expanded`` counts only the
-    resolver calls actually made. The resolver keeps an explicit stack, so
-    depth is limited only by ``max_depth``, and a failed pass costs only
-    the work done since its first cutoff plus a copy, taken there, of the
-    state the rest of the pass can change (see :func:`_deepen`).
+    A pass resolves an item thus: fail when the remaining depth is below 1;
+    then succeed when the item is in the kitchen or already resolved;
+    otherwise try each producing unit in ascending unit-index order,
+    resolving every input one level deeper. A unit whose inputs all resolve
+    is accepted and its outputs become available to the rest of the pass;
+    on failure its partial discoveries are rolled back and the next
+    producer is tried. Items already being resolved further up the stack
+    fail at once, which bounds the search on cyclic graphs without changing
+    what any bound can solve. Only producers the kitchen can feed
+    (:meth:`FoonGraph.live_producers`) are tried; that index is built off
+    the clock. Steps, tree and bound are those of rerunning every pass from
+    scratch, and ``nodes_expanded`` counts the resolver calls actually made
+    (see :func:`_deepen`).
     """
     config = config or SearchConfig()
     goal_key = goal.key

@@ -419,7 +419,7 @@ def _value_pairs():
          build_graph([mix]), build_graph([mix_again])),
         (Kitchen, ("nodes",), ("keys",),
          Kitchen([ice, obj("glass")]),
-         Kitchen([ice_again, obj("Glass"), ice])),
+         Kitchen([obj("Glass"), ice_again, ice])),
         (TaskTree, ("steps", "goal"), (), tree, TaskTree(steps=[mix_again], goal=tree.goal)),
         (ValidationReport, ("violations",), (),
          ValidationReport(("step 0: x",)), ValidationReport(violations=("step 0: x",))),

@@ -391,6 +391,23 @@ class TestIdsSearch:
         assert outcome.status == DEPTH_EXHAUSTED
         assert outcome.stats.final_depth_bound == 2
 
+    def test_a_chain_counts_two_calls_per_bound(self):
+        # Bound 0 cuts off the goal call. Each later bound makes the cut-off
+        # call again, one bound deeper, and counts it, then cuts off one
+        # item further down; the bound after the chain's length reaches the
+        # kitchen. So a cap m <= n stops after 2m + 1 calls.
+        for n in range(1, 41):
+            graph, kitchen, goal = long_chain(n)
+            outcome = ids_search(graph, kitchen, goal, SearchConfig(max_depth=n + 1))
+            assert outcome.status == SOLVED, n
+            assert outcome.stats.nodes_expanded == 2 * n + 2, n
+            assert outcome.stats.final_depth_bound == n + 1, n
+            for cap in range(1, n + 1):
+                outcome = ids_search(graph, kitchen, goal, SearchConfig(max_depth=cap))
+                assert outcome.status == DEPTH_EXHAUSTED, (n, cap)
+                assert outcome.stats.nodes_expanded == 2 * cap + 1, (n, cap)
+                assert outcome.stats.final_depth_bound == cap, (n, cap)
+
     def test_backtracks_to_second_producer(self):
         g = obj("g")
         dead = unit([obj("missing")], "bad route", [g], index=0)
