@@ -426,6 +426,9 @@ class ValidationReport(_Value):
         return not self.violations
 
 
+_VALID = ValidationReport()
+
+
 def validate_tree(kitchen: Kitchen, tree: TaskTree) -> ValidationReport:
     """Check that a task tree is executable against a kitchen.
 
@@ -437,13 +440,14 @@ def validate_tree(kitchen: Kitchen, tree: TaskTree) -> ValidationReport:
       * the final step does not output the goal,
       * two steps are structurally identical,
       * the tree is empty although the goal is not already in the kitchen.
+    A valid tree gets one shared, immutable report: compare by value, not identity.
     """
-    violations: list[str] = []
     if not tree.steps:
-        if tree.goal not in kitchen:
-            violations.append("empty tree but goal not in kitchen")
-        return ValidationReport(tuple(violations))
+        if tree.goal in kitchen.keys:
+            return _VALID
+        return ValidationReport(("empty tree but goal not in kitchen",))
 
+    violations: list[str] = []
     kitchen_keys = kitchen.keys
     made: set[NodeKey] = set()
     seen_signatures: dict[str, int] = {}
@@ -461,7 +465,7 @@ def validate_tree(kitchen: Kitchen, tree: TaskTree) -> ValidationReport:
 
     if tree.goal not in tree.steps[-1].output_keys:
         violations.append("final step does not output the goal")
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(violations)) if violations else _VALID
 
 
 def reachable_oracle(graph: FoonGraph, kitchen: Kitchen, goal: NodeKey) -> bool:

@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 import time
-from collections import deque
 from operator import attrgetter
 
 from .core import (
@@ -102,9 +101,9 @@ class SearchStats(_Value):
 
     def __init__(self, nodes_expanded: int, final_depth_bound: int | None,
                  elapsed_seconds: float):
-        _set(self, "nodes_expanded", nodes_expanded)
-        _set(self, "final_depth_bound", final_depth_bound)
-        _set(self, "elapsed_seconds", elapsed_seconds)
+        _set_expanded(self, nodes_expanded)
+        _set_bound(self, final_depth_bound)
+        _set_elapsed(self, elapsed_seconds)
 
 
 class SearchOutcome(_Value):
@@ -122,15 +121,22 @@ class SearchOutcome(_Value):
 
     def __init__(self, tree: TaskTree | None, status: str, stats: SearchStats,
                  missing_key: NodeKey | None = None, reason: str | None = None):
-        _set(self, "tree", tree)
-        _set(self, "status", status)
-        _set(self, "stats", stats)
-        _set(self, "missing_key", missing_key)
-        _set(self, "reason", reason)
+        _set_tree(self, tree)
+        _set_status(self, status)
+        _set_stats(self, stats)
+        _set_missing(self, missing_key)
+        _set_reason(self, reason)
 
     @property
     def solved(self) -> bool:
         return self.status == SOLVED
+
+
+# Slot setters bound once: every search builds both records, and these skip object.__setattr__.
+_set_expanded, _set_bound, _set_elapsed = (
+    getattr(SearchStats, name).__set__ for name in SearchStats._fields)
+_set_tree, _set_status, _set_stats, _set_missing, _set_reason = (
+    getattr(SearchOutcome, name).__set__ for name in SearchOutcome._fields)
 
 
 def heuristic_select(candidates, mode: str) -> FunctionalUnit:
@@ -173,13 +179,11 @@ def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None
         return None
     while ordered and goal not in ordered[-1].output_keys:
         ordered.pop()
-    tree = TaskTree(steps=tuple(ordered), goal=goal)
+    tree = TaskTree(ordered, goal)
     report = validate_tree(kitchen, tree)
-    if not report.ok:
-        raise RuntimeError(
-            f"internal error: invalid task tree for {goal}: "
-            + "; ".join(report.violations)
-        )
+    if report.violations:
+        raise RuntimeError(f"internal error: invalid task tree for {goal}: "
+                           + "; ".join(report.violations))
     return tree
 
 
@@ -365,7 +369,7 @@ def ids_search(
     tree: TaskTree | None = None
     status = DEPTH_EXHAUSTED
     reason: str | None = None
-    if goal_key not in kitchen and goal_key not in live:
+    if goal_key not in kitchen.keys and goal_key not in live:
         status = UNSOLVABLE
         if not graph.producers_of(goal_key):
             reason = f"goal has no producers and is not in the kitchen: {goal_key}"
@@ -373,9 +377,7 @@ def ids_search(
             reason = f"goal is unreachable from the kitchen: {goal_key}"
         final_bound, calls = None, 0
     else:
-        discovery, final_bound, calls = _deepen(
-            live, kitchen.keys, goal_key, config.max_depth
-        )
+        discovery, final_bound, calls = _deepen(live, kitchen.keys, goal_key, config.max_depth)
         if discovery is not None:
             tree = finalize_tree(discovery, goal_key, kitchen)
             if tree is None:
@@ -383,7 +385,7 @@ def ids_search(
             status = SOLVED
 
     stats = SearchStats(calls, final_bound, time.perf_counter() - start)
-    return SearchOutcome(tree, status, stats, reason=reason)
+    return SearchOutcome(tree, status, stats, None, reason)
 
 
 def gbfs_search(
@@ -394,12 +396,12 @@ def gbfs_search(
 ) -> SearchOutcome:
     """Retrieve a task tree by greedy best-first search.
 
-    A FIFO frontier starts with the goal key. Each dequeued item is skipped
-    when already handled or in the kitchen; otherwise one producing unit is
-    committed by the :data:`HEURISTICS` rule and its inputs join the
-    frontier. There is no backtracking: an item with no producers, or a
-    selection that turns out not to be executable (circular commitments),
-    fails the search even if another choice would have succeeded.
+    A FIFO frontier, a list read in order as it grows, starts with the goal
+    key. Each item read is skipped when handled or in the kitchen; else one
+    producing unit is committed by the :data:`HEURISTICS` rule and its inputs
+    join the frontier. There is no backtracking: an item with no producers,
+    or a selection that is not executable (circular commitments), fails the
+    search even if another choice would have succeeded.
     """
     config = config or SearchConfig()
     goal_key = goal.key
@@ -408,12 +410,11 @@ def gbfs_search(
     producers = graph.producers
     kitchen_keys = kitchen.keys
     rank = HEURISTICS[config.heuristic]
-    frontier: deque[NodeKey] = deque([goal_key])
+    frontier: list[NodeKey] = [goal_key]
     visited: set[NodeKey] = set()
     discovery: list[FunctionalUnit] = []
     missing: NodeKey | None = None
-    while frontier:
-        key = frontier.popleft()
+    for key in frontier:
         if key in visited or key in kitchen_keys:
             continue
         visited.add(key)

@@ -341,6 +341,14 @@ class TestValidateTree:
         report = validate_tree(kitchen, tree)
         assert any("duplicate" in v for v in report.violations)
 
+    def test_valid_trees_share_one_immutable_report(self, chain):
+        graph, kitchen, goal = chain
+        full = validate_tree(kitchen, TaskTree(graph.units, goal.key))
+        empty = validate_tree(Kitchen([goal]), TaskTree((), goal.key))
+        assert full is empty and full == ValidationReport() and full.violations == ()
+        with pytest.raises(AttributeError):
+            full.violations = ("step 0: x",)
+
 
 def test_unit_signature_ignores_weight_and_index():
     base = unit([obj("a")], "mix", [obj("b")])

@@ -293,6 +293,32 @@ class TestFinalizeTree:
         # 390 shuffles of lists with two or more units.
         assert reordered > 350, reordered
 
+    def test_each_returned_tree_is_validated_once(self, monkeypatch):
+        """On the randgen corpus, every tree that ``ids_search`` or
+        ``gbfs_search`` returns went through exactly one call of
+        ``foon.search.validate_tree``, on that very tree; a search that
+        returns no tree validates none."""
+        checked = []
+
+        def spy_validate(kitchen, tree):
+            checked.append(tree)
+            return validate_tree(kitchen, tree)
+
+        monkeypatch.setattr(foon.search, "validate_tree", spy_validate)
+        trees = 0
+        for seed in range(400):
+            instance = random_instance(seed, acyclic=(seed % 3 == 0))
+            for name in ALGORITHMS:
+                outcome = run_algorithm(name, instance.graph, instance.kitchen, instance.goal)
+                if outcome.tree is None:
+                    assert checked == [], (seed, name)
+                else:
+                    assert len(checked) == 1 and checked[0] is outcome.tree, (seed, name)
+                    trees += 1
+                checked.clear()
+        # 582 trees.
+        assert trees > 500, trees
+
 
 def _finalize_corpus(seed):
     """The kitchen and the discovery lists the finalize differential tests
