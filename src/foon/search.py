@@ -18,12 +18,13 @@ prefers the unit whose motion has the highest success rate, ``input_count``
 the unit with the fewest inputs; ties go to the lowest unit index.
 
 Units are discovered goal-first. Both searches end in :func:`finalize_tree`:
-drop duplicate units, sort the rest by ``unit_index``, fire them earliest
-ready first by the same forward pass from the kitchen that finds the live
-producers (:func:`~foon.core.forward_chain`, one scan when the sorted list
-is already in execution order), trim after the last goal producer, and
-validate once. So a tree's step order follows from its unit set and the
-kitchen alone, not from the order its search found the units in.
+drop duplicate units and sort the rest by ``unit_index``. A sorted list
+that validates as it stands is the tree; any other is fired earliest ready
+first by the same forward pass from the kitchen that finds the live
+producers (:func:`~foon.core.forward_chain`), trimmed after the last goal
+producer and validated. Each returned tree is validated once. So a tree's
+step order follows from its unit set and the kitchen alone, not from the
+order its search found the units in.
 :data:`ALGORITHMS` maps each algorithm name to its search call.
 """
 
@@ -156,14 +157,18 @@ def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None
     """Turn a goal-first discovery list into a validated task tree.
 
     Keeps the last-discovered occurrence of each structurally identical
-    unit, sorts the kept units by ``unit_index`` (a stable sort: ties keep
-    their reversed discovery order), then orders the steps by one
-    :func:`~foon.core.forward_chain` pass from the kitchen: the ready step
-    that comes first in the sorted list fires first. So the tree depends
-    only on the set of units and the kitchen. Steps after the last one that
-    outputs the goal are dropped. Returns None when the steps cannot all
-    run in any order (a circular dependency); raises RuntimeError if the
-    ordered tree still fails :func:`validate_tree`.
+    unit and sorts the kept units by ``unit_index`` (a stable sort: ties
+    keep their reversed discovery order). When that list can run as is (it
+    is non-empty, the kitchen feeds its first step, its last step outputs
+    the goal and :func:`validate_tree` passes it), it is the tree. Otherwise
+    one :func:`~foon.core.forward_chain` pass from the kitchen repairs the
+    order: the ready step that comes first in the sorted list fires first,
+    which on a list that runs as is fires it in list order. So the tree
+    depends only on the set of units and the kitchen. Steps after the last
+    one that outputs the goal are dropped. Returns None when the steps
+    cannot all run in any order (a circular dependency); raises
+    RuntimeError if the repaired tree still fails :func:`validate_tree`.
+    Either way the returned tree is validated once, as that very object.
     """
     steps: list[FunctionalUnit] = []
     seen: set[str] = set()
@@ -173,7 +178,16 @@ def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None
             steps.append(unit)
     steps.sort(key=_UNIT_INDEX)
 
-    fired, _ = forward_chain(steps, kitchen.keys)
+    # The checks on the list's two ends cost O(1) in its length and spare a
+    # validation that would fail, as on most greedy selections with a cycle.
+    kitchen_keys = kitchen.keys
+    if (steps and goal in steps[-1].output_keys
+            and kitchen_keys.issuperset(steps[0].input_keys)):
+        tree = TaskTree(steps, goal)
+        if not validate_tree(kitchen, tree).violations:
+            return tree
+
+    fired, _ = forward_chain(steps, kitchen_keys)
     ordered = [steps[pos] for pos in fired]
     if len(ordered) < len(steps):
         return None

@@ -215,6 +215,37 @@ class TestFinalizeTree:
         tree = finalize_tree([u1, u2], obj("g").key, Kitchen([obj("a")]))
         assert list(tree.steps) == [u1]
 
+    def test_a_sorted_list_that_runs_is_accepted_without_ordering(self, monkeypatch):
+        ordering, checked = _spy_finalize_calls(monkeypatch)
+        u1 = unit([obj("a")], "m1", [obj("b")], index=0)
+        u2 = unit([obj("b")], "m2", [obj("g")], index=1)
+        tree = finalize_tree([u2, u1], obj("g").key, Kitchen([obj("a")]))
+        assert list(tree.steps) == [u1, u2]
+        assert ordering == []
+        assert len(checked) == 1 and checked[0][0] is tree and checked[0][1].ok
+
+    def test_a_sorted_list_out_of_order_is_repaired(self, monkeypatch):
+        # The sorted list starts in the kitchen and ends at the goal, so it
+        # is validated, but its second step needs the third's output.
+        ordering, checked = _spy_finalize_calls(monkeypatch)
+        u1 = unit([obj("a")], "m1", [obj("b")], index=0)
+        u2 = unit([obj("c")], "m2", [obj("d")], index=1)
+        u3 = unit([obj("b")], "m3", [obj("c")], index=2)
+        u4 = unit([obj("d")], "m4", [obj("g")], index=3)
+        tree = finalize_tree([u4, u2, u3, u1], obj("g").key, Kitchen([obj("a")]))
+        assert list(tree.steps) == [u1, u3, u2, u4]
+        assert len(ordering) == 1
+        assert [candidate.steps for candidate, _ in checked] == [(u1, u2, u3, u4), tree.steps]
+        assert not checked[0][1].ok and checked[1][0] is tree and checked[1][1].ok
+
+    def test_a_cycle_the_kitchen_does_not_feed_is_not_validated(self, monkeypatch):
+        ordering, checked = _spy_finalize_calls(monkeypatch)
+        u1 = unit([obj("b")], "m1", [obj("c")], index=0)
+        u2 = unit([obj("c")], "m2", [obj("b"), obj("g")], index=1)
+        assert finalize_tree([u2, u1], obj("g").key, Kitchen([obj("a")])) is None
+        assert len(ordering) == 1
+        assert checked == []
+
     def test_matches_the_three_pass_reference(self):
         """Differential check against the reversal order on the randgen corpus.
 
@@ -241,19 +272,23 @@ class TestFinalizeTree:
         # 283 search lists; 545 trees and 1,332 Nones in all.
         assert searched > 250 and solved > 500 and none > 500, (searched, solved, none)
 
-    def test_matches_the_unit_index_reference(self):
+    def test_matches_the_unit_index_reference(self, monkeypatch):
         """Exact trees against the frozen quadratic reference of the rule.
 
         Every list of :func:`_finalize_corpus` is checked as is, and once
         more with every unit renumbered to index 0, as units built outside
         ``build_graph`` are, so that all ties go to discovery position.
+        Both branches of ``finalize_tree`` are counted: trees accepted as
+        sorted, with no ordering pass, and trees the pass repaired.
         """
-        solved = none = 0
+        ordering, _ = _spy_finalize_calls(monkeypatch)
+        solved = none = accepted = repaired = 0
         for seed in range(500):
             kitchen, lists = _finalize_corpus(seed)
             for discovery, target, _ in lists:
                 for units in (discovery, [u.with_index(0) for u in discovery]):
                     expected = reference_sorted_finalize(units, target, kitchen)
+                    ordering.clear()
                     actual = finalize_tree(units, target, kitchen)
                     if expected is None:
                         assert actual is None, (seed, units)
@@ -262,8 +297,13 @@ class TestFinalizeTree:
                         assert actual is not None, (seed, units)
                         assert actual.steps == expected.steps, (seed, units)
                         solved += 1
-        # 1,090 trees and 2,664 Nones.
+                        if ordering:
+                            repaired += 1
+                        else:
+                            accepted += 1
+        # 1,090 trees and 2,664 Nones; 604 trees accepted and 486 repaired.
         assert solved > 1000 and none > 1000, (solved, none)
+        assert accepted > 100 and repaired > 100, (accepted, repaired)
 
     def test_a_shuffled_discovery_list_gives_the_same_tree(self, monkeypatch):
         """On the randgen corpus, the tree of each IDS and GBFS discovery list
@@ -296,28 +336,67 @@ class TestFinalizeTree:
     def test_each_returned_tree_is_validated_once(self, monkeypatch):
         """On the randgen corpus, every tree that ``ids_search`` or
         ``gbfs_search`` returns went through exactly one call of
-        ``foon.search.validate_tree``, on that very tree; a search that
-        returns no tree validates none."""
-        checked = []
+        ``foon.search.validate_tree``, on that very tree, and that call was
+        the last. At most one call came before it: on the sorted candidate,
+        whose report had violations. A search that returns no tree makes at
+        most one call, and that call fails."""
+        _, checked = _spy_finalize_calls(monkeypatch)
+        discoveries = []
 
-        def spy_validate(kitchen, tree):
-            checked.append(tree)
-            return validate_tree(kitchen, tree)
+        def spy_finalize(discovery, goal, kitchen):
+            discoveries.append(list(discovery))
+            return finalize_tree(discovery, goal, kitchen)
 
-        monkeypatch.setattr(foon.search, "validate_tree", spy_validate)
-        trees = 0
+        monkeypatch.setattr(foon.search, "finalize_tree", spy_finalize)
+        trees = repaired = 0
         for seed in range(400):
             instance = random_instance(seed, acyclic=(seed % 3 == 0))
             for name in ALGORITHMS:
                 outcome = run_algorithm(name, instance.graph, instance.kitchen, instance.goal)
-                if outcome.tree is None:
-                    assert checked == [], (seed, name)
-                else:
-                    assert len(checked) == 1 and checked[0] is outcome.tree, (seed, name)
+                earlier = checked
+                if outcome.tree is not None:
+                    last_tree, last_report = checked[-1]
+                    assert last_tree is outcome.tree and last_report.ok, (seed, name)
+                    earlier = checked[:-1]
                     trees += 1
+                assert len(earlier) <= 1, (seed, name)
+                for candidate, report in earlier:
+                    assert not report.ok, (seed, name)
+                    assert candidate.steps == _sorted_candidate(discoveries[0]), (seed, name)
+                    repaired += outcome.tree is not None
                 checked.clear()
-        # 582 trees.
-        assert trees > 500, trees
+                discoveries.clear()
+        # 582 trees, 2 of them repaired after a failed validation.
+        assert trees > 500 and repaired > 0, (trees, repaired)
+
+
+def _spy_finalize_calls(monkeypatch):
+    """Record the calls ``finalize_tree`` makes: a list of the unit lists
+    it passes to ``forward_chain`` and one of ``(tree, report)`` for each
+    ``validate_tree`` call."""
+    ordering, checked = [], []
+
+    def spy_forward_chain(units, kitchen_keys):
+        ordering.append(list(units))
+        return forward_chain(units, kitchen_keys)
+
+    def spy_validate(kitchen, tree):
+        report = validate_tree(kitchen, tree)
+        checked.append((tree, report))
+        return report
+
+    monkeypatch.setattr(foon.search, "forward_chain", spy_forward_chain)
+    monkeypatch.setattr(foon.search, "validate_tree", spy_validate)
+    return ordering, checked
+
+
+def _sorted_candidate(discovery):
+    """The steps ``finalize_tree`` validates before any ordering: the last
+    discovered unit of each signature, stably sorted by ``unit_index``."""
+    kept = {}
+    for unit_ in reversed(discovery):
+        kept.setdefault(unit_.signature, unit_)
+    return tuple(sorted(kept.values(), key=lambda unit_: unit_.unit_index))
 
 
 def _finalize_corpus(seed):
@@ -354,30 +433,29 @@ def _finalize_corpus(seed):
 
 def test_every_layered_tree_is_ordered_in_one_scan(layered, monkeypatch):
     """The work of ordering, as a count: on the layered fixture, each of the
-    78 trees of the three algorithms fires its sorted units in list order,
-    so ``forward_chain`` never takes its counter-and-heap path. The kitchen
-    pass behind the live-producer index runs once over the whole graph,
-    for all 78 searches."""
-    calls = []
+    78 trees of the three algorithms is its sorted units in list order, so
+    ``finalize_tree`` accepts it after one validation, the scan that
+    checks it, and never calls ``forward_chain``. The kitchen pass behind
+    the live-producer index runs once over the whole graph, for all 78
+    searches."""
+    ordering, checked = _spy_finalize_calls(monkeypatch)
     graph_passes = []
-
-    def spy_forward_chain(units, kitchen_keys):
-        fired, made = forward_chain(units, kitchen_keys)
-        calls.append(fired == list(range(len(units))))
-        return fired, made
 
     def spy_kitchen_pass(units, kitchen_keys):
         graph_passes.append(units is graph.units)
         return forward_chain(units, kitchen_keys)
 
-    monkeypatch.setattr(foon.search, "forward_chain", spy_forward_chain)
     monkeypatch.setattr(foon.core, "forward_chain", spy_kitchen_pass)
     graph, kitchen, goals = layered
+    trees = []
     for goal in goals:
         for name in ALGORITHMS:
-            assert run_algorithm(name, graph, kitchen, goal).solved
-    assert len(calls) == 78
-    assert calls.count(False) == 0
+            outcome = run_algorithm(name, graph, kitchen, goal)
+            assert outcome.solved
+            trees.append(outcome.tree)
+    assert len(trees) == 78 and len(checked) == 78
+    assert ordering == []
+    assert all(tree is checked_tree for tree, (checked_tree, _) in zip(trees, checked))
     assert graph_passes == [True]
 
 
