@@ -22,8 +22,10 @@ each unit its keys and signature, as JSON text (a string caches its
 hash), once on construction; there is no process-global cache. The value
 types are ``__slots__`` classes that set each field once in ``__init__``,
 compare by content and raise AttributeError on assignment, so they are safe
-to share between searches; the one thing a graph remembers, its
-live-producer index for the last kitchen, is a pure function of both.
+to share between searches. A graph remembers two things, each a pure
+function of what it was computed from: its live-producer index for the
+last kitchen, and the greedy commitments of each heuristic, one unit per
+item with several producers, filled as searches first rank them.
 """
 
 from __future__ import annotations
@@ -261,13 +263,19 @@ class FoonGraph(_Value):
     It keeps the first unit of each signature, renumbered densely in order,
     and raises :class:`InvalidUnitError` with the source position for a unit
     with no inputs or no outputs. ``producers`` maps each node key to the
-    units that output it, in ascending ``unit_index`` order. Graphs compare
-    by their units but have no hash: the index is a dict, and the memo
-    behind :meth:`live_producers` is written after construction.
+    units that output it, in ascending ``unit_index`` order.
+    ``commitments`` maps a greedy heuristic's name to ``{item key: the
+    producer it ranks first}``; it starts empty, and greedy search fills it
+    the first time it ranks an item's several producers, so each ranking is
+    done once per graph and heuristic. Graphs compare by their units but
+    have no hash: the index is a dict, and both memos are written after
+    construction. Neither takes part in equality, ``repr`` or pickling, so
+    a copy or an unpickled graph starts with empty memos.
     """
 
     _fields = ("units",)
-    __slots__ = _fields + ("producers", "_live_memo")  # memo: (kitchen keys, live index)
+    # _live_memo: (kitchen keys, live index); commitments: see above.
+    __slots__ = _fields + ("producers", "_live_memo", "commitments")
     __hash__ = None
 
     def __init__(self, units: Iterable[FunctionalUnit] = ()):
@@ -287,6 +295,7 @@ class FoonGraph(_Value):
         _set(self, "units", tuple(kept))
         _set(self, "producers", _producer_index(kept))
         _set(self, "_live_memo", None)
+        _set(self, "commitments", {})
 
     def producers_of(self, key: NodeKey) -> tuple[FunctionalUnit, ...]:
         """Units whose outputs contain ``key``, in ascending unit_index order."""

@@ -15,7 +15,9 @@ Greedy best-first keeps a FIFO frontier of items to produce and commits to
 one producer per item, with no backtracking; a bad greedy commitment is
 reported as a failure. Its rule is :data:`HEURISTICS`: ``success_rate``
 prefers the unit whose motion has the highest success rate, ``input_count``
-the unit with the fewest inputs; ties go to the lowest unit index.
+the unit with the fewest inputs; ties go to the lowest unit index. An
+item's commitment among several producers is ranked once per graph and
+heuristic and kept in :attr:`FoonGraph.commitments`.
 
 Units are discovered goal-first. Both searches end in :func:`finalize_tree`:
 drop duplicate units and sort the rest by ``unit_index``. A sorted list
@@ -423,7 +425,11 @@ def gbfs_search(
 
     producers = graph.producers
     kitchen_keys = kitchen.keys
-    rank = HEURISTICS[config.heuristic]
+    heuristic = config.heuristic
+    rank = HEURISTICS[heuristic]
+    # The heuristic's commitments, fetched at the first item with several
+    # producers: a search that meets none does no memo work.
+    committed: dict[NodeKey, FunctionalUnit] | None = None
     frontier: list[NodeKey] = [goal_key]
     visited: set[NodeKey] = set()
     discovery: list[FunctionalUnit] = []
@@ -436,7 +442,16 @@ def gbfs_search(
         if not candidates:
             missing = key
             break
-        unit = candidates[0] if len(candidates) == 1 else min(candidates, key=rank)
+        if len(candidates) == 1:
+            unit = candidates[0]
+        else:
+            if committed is None:
+                committed = graph.commitments.get(heuristic)
+                if committed is None:
+                    committed = graph.commitments[heuristic] = {}
+            unit = committed.get(key)
+            if unit is None:
+                unit = committed[key] = min(candidates, key=rank)
         discovery.append(unit)
         frontier.extend(unit.input_keys)
 

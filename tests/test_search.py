@@ -1,4 +1,6 @@
+import collections
 import itertools
+import pickle
 import random
 from collections import deque
 
@@ -13,6 +15,7 @@ from foon import (
     SOLVED,
     SUCCESS_RATE,
     UNSOLVABLE,
+    FoonGraph,
     Kitchen,
     SearchConfig,
     build_graph,
@@ -28,6 +31,7 @@ from foon.core import forward_chain
 from foon.search import HEURISTICS, _deepen
 from tests.conftest import LIVE_INDEX_SLEEP, obj, unit
 from tests.deepen_reference import reference_deepen
+from tests.families import detour_chain, long_chain, side_output, trap, wide_then_deep
 from tests.finalize_reference import reference_finalize
 from tests.finalize_sorted_reference import reference_sorted_finalize
 from tests.ids_reference import reference_depth_limited_search, reference_ids_search
@@ -36,99 +40,6 @@ from tests.randgen import random_instance
 
 def signatures(tree):
     return [u.signature for u in tree.steps]
-
-
-def long_chain(length, kitchen_has_start=True):
-    """``item 0`` --> ``item 1`` --> ... --> ``item <length>``, as (graph, kitchen, goal)."""
-    items = [obj(f"item {i}") for i in range(length + 1)]
-    units = [unit([items[i]], "cook", [items[i + 1]], index=i) for i in range(length)]
-    kitchen = Kitchen(items[:1] if kitchen_has_start else [])
-    return build_graph(units), kitchen, items[-1]
-
-
-def trap(levels=40, good=16):
-    """The goal's first producer leads into ``levels`` levels of two-way
-    alternatives that bottom out in a missing item; its second producer
-    ends a ``good``-unit chain from the kitchen."""
-    goal = obj("goal")
-    traps = [obj(f"trap {i}") for i in range(levels + 1)]
-    path = [obj(f"path {i}") for i in range(good)]
-    units = [unit([traps[0]], "enter trap", [goal])]
-    for i in range(levels):
-        units.append(unit([traps[i + 1]], "left", [traps[i]]))
-        units.append(unit([traps[i + 1]], "right", [traps[i]]))
-    units.append(unit([obj("missing")], "dead end", [traps[levels]]))
-    units += [unit([path[i]], "step", [path[i + 1]]) for i in range(good - 1)]
-    units.append(unit([path[-1]], "finish", [goal]))
-    return build_graph(units), Kitchen(path[:1]), goal
-
-
-def detour_chain(length=60, every=10, detour=3):
-    """``item 0`` --> ... --> ``item <length>``, where every ``every``-th
-    item's first producer is a ``detour``-unit longer way round from the
-    previous item: its pass cuts off inside the detour first and then
-    backtracks into the direct step."""
-    items = [obj(f"item {i}") for i in range(length + 1)]
-    units = []
-    for i in range(1, length + 1):
-        if i % every == 0:
-            way = [items[i - 1]] + [obj(f"detour {i}.{j}") for j in range(detour)]
-            units += [unit([a], "wander", [b]) for a, b in zip(way, way[1:])]
-            units.append(unit([way[-1]], "arrive", [items[i]]))
-        units.append(unit([items[i - 1]], "cook", [items[i]]))
-    return build_graph(units), Kitchen(items[:1]), items[-1]
-
-
-def wide_then_deep(chains, length, deep):
-    """``chains`` kitchen-fed chains of ``length`` units and one of ``deep``
-    units, whose ends the goal's one producer joins, the deep chain's last.
-    The deep chain's end has a second producer that needs the goal: it is
-    live, but fails at once because the goal is on the path. So each bound
-    that reaches the deep chain without solving it cuts off under that
-    choice point, fails and is restored, with the short chains resolved."""
-    starts, ends, units = [], [], []
-    for name, size in [(f"chain {c}", length) for c in range(chains)] + [("deep", deep)]:
-        items = [obj(f"{name}.{i}") for i in range(size + 1)]
-        units += [unit([a], "cook", [b]) for a, b in zip(items, items[1:])]
-        starts.append(items[0])
-        ends.append(items[-1])
-    goal = obj("goal")
-    units.append(unit(ends, "join", [goal]))
-    units.append(unit([goal], "unjoin", [ends[-1]]))
-    return build_graph(units), Kitchen(starts), goal
-
-
-def side_output():
-    """The goal needs ``x``, then a 4-unit chain from the kitchen. ``x``'s
-    first producer needs ``d`` and then ``t``, which needs ``m`` two levels
-    down. At bound 5, ``d``'s first producer (a 2-unit chain) runs out of
-    depth, and its second also outputs ``m``, so ``x`` resolves; then the
-    goal's chain runs out of depth. At bound 6 the chain under ``d`` fits,
-    ``m`` must be made one level too deep, and the search backtracks into
-    ``x``, a frame resolved after bound 5's first cutoff: ``x``'s second
-    producer takes one kitchen item, and the goal is solved at bound 6."""
-    kitchen = [obj("flour"), obj("salt")]
-    flour, salt = kitchen
-    goal, x, d, t, t2, m, a, c1, c2, f1, f2, f3, f4 = map(
-        obj, "goal x d t t2 m a c1 c2 f1 f2 f3 f4".split()
-    )
-    units = [
-        unit([x, f1], "finish", [goal]),
-        unit([d, t], "assemble", [x]),
-        unit([salt], "shortcut", [x]),
-        unit([c1], "long way", [d]),
-        unit([a], "split", [d, m]),
-        unit([c2], "step", [c1]),
-        unit([flour], "step", [c2]),
-        unit([flour], "grind", [a]),
-        unit([t2], "wrap", [t]),
-        unit([m], "fold", [t2]),
-        unit([f2], "knead", [f1]),
-        unit([f3], "knead", [f2]),
-        unit([f4], "knead", [f3]),
-        unit([flour], "knead", [f4]),
-    ]
-    return build_graph(units), Kitchen(kitchen), goal
 
 
 class TestHeuristicSelect:
@@ -798,13 +709,18 @@ class TestGbfsSearch:
             assert validate_tree(kitchen, outcome.tree).ok
 
     def test_each_commitment_is_heuristic_select_of_its_producers(self, monkeypatch):
-        """Differential check of every greedy choice on the randgen corpus.
+        """Differential check of every greedy choice on the randgen corpus,
+        with the graph's commitments warm.
 
-        A walk of the same FIFO frontier commits to
+        On one graph per instance, every pool node is searched as the goal
+        under each heuristic and against two kitchens, alternating both, so
+        later searches read the commitments earlier ones stored. A walk of
+        the same FIFO frontier commits to
         ``heuristic_select(graph.producers_of(key), mode)`` for each key; the
         search must commit to the same units (its discovery list, as handed
         to ``finalize_tree``), expand as many keys and stop at the same
-        missing key.
+        missing key. Afterwards the graph holds a commitment for exactly the
+        items with several producers that some search of that heuristic met.
         """
         discoveries = []
 
@@ -813,38 +729,83 @@ class TestGbfsSearch:
             return finalize_tree(discovery, goal, kitchen)
 
         monkeypatch.setattr(foon.search, "finalize_tree", spy_finalize)
-        choices = several = ties = 0
+        choices = several = ties = reads = 0
         for seed in range(400):
             instance = random_instance(seed, acyclic=(seed % 3 == 0))
-            graph, kitchen = instance.graph, instance.kitchen
+            graph, pool = instance.graph, instance.pool
+            kitchens = (instance.kitchen,
+                        Kitchen([node for node in pool if node.key not in instance.kitchen][::2]))
+            ranked = {SUCCESS_RATE: set(), INPUT_COUNT: set()}
+            for goal in pool:
+                for mode, kitchen in ((SUCCESS_RATE, kitchens[0]), (INPUT_COUNT, kitchens[1]),
+                                      (SUCCESS_RATE, kitchens[1]), (INPUT_COUNT, kitchens[0])):
+                    case = (seed, goal.label, mode, kitchen is kitchens[0])
+                    outcome = gbfs_search(graph, kitchen, goal, SearchConfig(heuristic=mode))
+                    committed, visited, missing = [], set(), None
+                    frontier = deque([goal.key])
+                    while frontier:
+                        key = frontier.popleft()
+                        if key in visited or key in kitchen:
+                            continue
+                        visited.add(key)
+                        candidates = graph.producers_of(key)
+                        if not candidates:
+                            missing = key
+                            break
+                        committed.append(heuristic_select(candidates, mode))
+                        frontier.extend(committed[-1].input_keys)
+                        if len(candidates) > 1:
+                            reads += key in ranked[mode]
+                            ranked[mode].add(key)
+                            ranks = sorted(HEURISTICS[mode](u)[0] for u in candidates)
+                            several += 1
+                            ties += ranks[0] == ranks[1]
+                    choices += len(committed)
+                    assert outcome.missing_key == missing, case
+                    assert outcome.stats.nodes_expanded == len(visited), case
+                    if missing is None:
+                        assert discoveries.pop() == committed, case
+                    assert not discoveries, case
+            for mode, keys in ranked.items():
+                assert set(graph.commitments.get(mode, {})) == keys, (seed, mode)
+        # 20,246 choices, 14,695 among several producers: 3,917 of those
+        # were ties, and 9,985 read a commitment an earlier search stored.
+        assert choices > 18_000 and several > 13_000 and ties > 3_500, (choices, several, ties)
+        assert reads > 9_000, reads
+
+    def test_each_item_is_ranked_once_per_graph_and_heuristic(self, monkeypatch):
+        """Every goal of ``trap()``'s 40 levels, searched deepest first,
+        shares the levels below it, under both heuristics and twice over:
+        each producer of an item with several is ranked once per heuristic.
+        A rebuilt or unpickled graph starts with no commitments and ranks
+        again, and commitments take no part in graph equality."""
+        evaluations = collections.Counter()
+        for mode, rank in list(HEURISTICS.items()):
+            def counted(unit, mode=mode, rank=rank):
+                evaluations[mode, unit.signature] += 1
+                return rank(unit)
+            monkeypatch.setitem(HEURISTICS, mode, counted)
+
+        graph, kitchen, goal = trap()
+        goals = [obj(f"trap {i}") for i in range(40, -1, -1)] + [goal]
+        ranked = {unit.signature for units in graph.producers.values() if len(units) > 1
+                  for unit in units}
+        assert len(ranked) == 82
+        for _ in range(2):
             for mode in (SUCCESS_RATE, INPUT_COUNT):
-                outcome = gbfs_search(
-                    graph, kitchen, instance.goal, SearchConfig(heuristic=mode)
-                )
-                committed, visited, missing = [], set(), None
-                frontier = deque([instance.goal.key])
-                while frontier:
-                    key = frontier.popleft()
-                    if key in visited or key in kitchen:
-                        continue
-                    visited.add(key)
-                    candidates = graph.producers_of(key)
-                    if not candidates:
-                        missing = key
-                        break
-                    committed.append(heuristic_select(candidates, mode))
-                    frontier.extend(committed[-1].input_keys)
-                    ranks = sorted(HEURISTICS[mode](u)[0] for u in candidates)
-                    several += len(ranks) > 1
-                    ties += len(ranks) > 1 and ranks[0] == ranks[1]
-                choices += len(committed)
-                assert outcome.missing_key == missing, (seed, mode)
-                assert outcome.stats.nodes_expanded == len(visited), (seed, mode)
-                if missing is None:
-                    assert discoveries.pop() == committed, (seed, mode)
-                assert not discoveries, (seed, mode)
-        # 884 choices, 702 among several producers, 201 of them ties.
-        assert choices > 800 and several > 600 and ties > 150, (choices, several, ties)
+                for target in goals:
+                    gbfs_search(graph, kitchen, target, SearchConfig(heuristic=mode))
+        assert evaluations == {(mode, signature): 1 for mode in (SUCCESS_RATE, INPUT_COUNT)
+                               for signature in ranked}
+        assert [len(graph.commitments[mode]) for mode in (SUCCESS_RATE, INPUT_COUNT)] == [41, 41]
+
+        for fresh in (FoonGraph(graph.units), pickle.loads(pickle.dumps(graph))):
+            assert fresh.commitments == {}
+            assert fresh == graph and repr(fresh) == repr(graph)
+            outcome = gbfs_search(fresh, kitchen, goal)
+            assert outcome.tree == gbfs_search(graph, kitchen, goal).tree
+            assert len(fresh.commitments[SUCCESS_RATE]) == 41
+        assert all(evaluations[SUCCESS_RATE, signature] == 3 for signature in ranked)
 
     def test_deterministic(self, chain):
         graph, kitchen, goal = chain
