@@ -10,7 +10,10 @@ backtracks across alternative producers, so it succeeds exactly on the
 instances where the goal is reachable at all (up to the configured bound).
 It tries only producers the kitchen can feed, keeps one explicit stack of
 frames and starts each bound where the previous one first ran out of
-depth, so an n-unit chain takes time linear in n (see :func:`_deepen`).
+depth. A bound's first cutoff with no untried producer on the stack raises
+the bound in place; a bound that fails is restored from a copy taken at
+its first cutoff. So an n-unit chain takes time linear in n (see
+:func:`_deepen`).
 Greedy best-first keeps a FIFO frontier of items to produce and commits to
 one producer per item, with no backtracking; a bad greedy commitment is
 reported as a failure. Its rule is :data:`HEURISTICS`: ``success_rate``
@@ -89,6 +92,9 @@ class SearchConfig(_Value):
     __slots__ = _fields = ("max_depth", "heuristic")
 
     def __init__(self, max_depth: int = DEFAULT_MAX_DEPTH, heuristic: str = SUCCESS_RATE):
+        # IDS stops when its bound equals max_depth, so it must be a true int.
+        if isinstance(max_depth, bool) or not isinstance(max_depth, int):
+            raise ValueError(f"max_depth must be an int, got {max_depth!r}")
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         if heuristic not in HEURISTICS:
@@ -234,17 +240,20 @@ def _deepen(
     one step to the nearest of them and goes on with its next producer.
     A failure with no choice point fails the pass. Each pass runs on from
     where its predecessor first ran out of depth, since up to that call a
-    deeper pass would replay the same steps. So a pass's first cutoff sets
-    ``saved``: to ``()`` when there is no choice point, as the pass then
-    fails at once with nothing to restore, and otherwise to a copy of what
-    the rest of the pass can change: the frames up to the top choice point
-    (those above it are only cut away), ``choices``, and the tails of
-    ``discovery`` and ``trail`` from the lowest choice point's marks, below
-    which no unwind truncates. Every failed pass ends at one site: the state
-    is put back from ``saved`` if that holds a copy, the bound rises by one,
-    and the cut-off call is made again, and counted, as the next pass. So a
-    bound costs its work since the previous bound's first cutoff plus the
-    copy, and an n-unit chain takes time linear in n. A pass that fails
+    deeper pass would replay the same steps. A pass's first cutoff with no
+    choice point is not a failure: the pass would fail there with nothing
+    to restore, and the next bound would make this very call again, so the
+    bound rises by one in place and the call is counted again and goes on
+    (at ``max_depth`` the search stops instead). Any other first cutoff
+    sets ``saved``, None until then, to a copy of what the rest of the pass
+    can change: the frames up to the top choice point (those above it are
+    only cut away), ``choices``, and the tails of ``discovery`` and
+    ``trail`` from the lowest choice point's marks, below which no unwind
+    truncates. Every failed pass ends at one site: the state is put back
+    from ``saved``, the bound rises by one, and the cut-off call is made
+    again, and counted, as the next pass. So a bound costs its work since
+    the previous bound's first cutoff plus the copy, and an n-unit chain,
+    where no pass fails, takes time linear in n. A pass that fails
     before any cutoff breaks the precondition (an internal error).
     """
     stack: list[list] = []
@@ -255,7 +264,7 @@ def _deepen(
     on_path: set[NodeKey] = set()
     calls = bound = 0
     # ok is the result of the call that just returned, or None while a call
-    # is pending; saved is None until the pass's first cutoff.
+    # is pending; saved is None until the pass's first failing cutoff.
     saved = ok = None
     while True:
         if ok is None:
@@ -267,17 +276,22 @@ def _deepen(
                 key = goal
             calls += 1
             if depth >= bound:
-                if saved is None:
-                    if choices:
+                if saved is not None or choices:
+                    if saved is None:
                         top, low = choices[-1], stack[choices[0]]
                         saved = (
                             [frame.copy() for frame in stack[:top + 1]] + stack[top + 1:],
                             choices.copy(), low[4], discovery[low[4]:], low[5], trail[low[5]:],
                         )
-                    else:
-                        saved = ()
-                ok = False
-            elif key in kitchen_keys or key in resolved:
+                    ok = False
+                    continue
+                # The pass would fail here with nothing to restore, and the
+                # next bound would make this very call: make it one deeper.
+                if bound == max_depth:
+                    return None, max_depth, calls
+                bound += 1
+                calls += 1
+            if key in kitchen_keys or key in resolved:
                 ok = True
             elif key in on_path:
                 ok = False
@@ -328,21 +342,20 @@ def _deepen(
             frame[3] = 0
             ok = None
         else:
-            # The pass fails: put back the state of its first cutoff, if it
-            # took a copy there, and make the cut-off call one bound deeper.
+            # The pass fails: put back the state of its first cutoff and make
+            # the cut-off call one bound deeper.
             if saved is None:
                 raise RuntimeError(
                     f"internal error: reachable goal failed without a cutoff: {goal}"
                 )
             if bound == max_depth:
                 return None, max_depth, calls
-            if saved:
-                stack, choices, mark, discovery_tail, trail_mark, trail_tail = saved
-                discovery[mark:] = discovery_tail
-                resolved.difference_update(trail[trail_mark:])
-                trail[trail_mark:] = trail_tail
-                resolved.update(trail_tail)
-                on_path = {frame[0] for frame in stack}
+            stack, choices, mark, discovery_tail, trail_mark, trail_tail = saved
+            discovery[mark:] = discovery_tail
+            resolved.difference_update(trail[trail_mark:])
+            trail[trail_mark:] = trail_tail
+            resolved.update(trail_tail)
+            on_path = {frame[0] for frame in stack}
             saved = ok = None
             bound += 1
 

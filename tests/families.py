@@ -1,8 +1,9 @@
 """Graph families for search tests, each built as ``(graph, kitchen, goal)``.
 
-The first five shape a single case of iterative deepening's resolver:
-a long chain, a dead-end trap beside a good chain, detours, side outputs
-and a restored bound. The last three are its worst cases, where items have
+The first six shape a single case of iterative deepening's resolver:
+a long chain, a dead-end trap beside a good chain, detours, side outputs,
+a restored bound, and bounds restored and raised in place by turns. The
+last three are its worst cases, where items have
 several producers of equal depth, so every frame is a choice point and
 each failed bound retries every combination below it: a ladder, a chain
 of diamonds, and recipes merged at shared intermediates
@@ -106,6 +107,34 @@ def side_output():
         unit([flour], "knead", [f4]),
     ]
     return build_graph(units), Kitchen(kitchen), goal
+
+
+def forked_chain(forks=4, spacing=6, detour=3):
+    """``item 0`` <-- ... <-- ``item <forks * spacing>``, where every
+    ``spacing``-th step joins the next item with a side item. A side item's
+    first producer is a ``detour``-unit way round from the kitchen's
+    ``raw`` and its second takes ``raw`` directly. While the bound cuts off
+    inside a detour, the side item is a choice point: the bound takes a
+    copy, the direct step resolves it, the chain below cuts off and the
+    bound is restored. Once the detour fits, the side item resolves with no
+    choice point left, and the chain's cutoffs raise the bound in place. So
+    along one search, restored bounds and bounds raised in place alternate
+    ``forks`` times."""
+    length = forks * spacing
+    items = [obj(f"item {i}") for i in range(length + 1)]
+    raw = obj("raw")
+    units = []
+    for i in range(length):
+        if i % spacing == 0:
+            side = obj(f"side {i}")
+            way = [raw] + [obj(f"detour {i}.{j}") for j in range(detour - 1)] + [side]
+            units += [unit([a], "wander", [b]) for a, b in zip(way, way[1:])]
+            units.append(unit([raw], "take", [side]))
+            units.append(unit([side, items[i + 1]], "join", [items[i]]))
+        else:
+            units.append(unit([items[i + 1]], "cook", [items[i]]))
+    units.append(unit([raw], "start", [items[length]]))
+    return build_graph(units), Kitchen([raw]), items[0]
 
 
 def ladder(n, width):

@@ -31,11 +31,40 @@ from foon.core import forward_chain
 from foon.search import HEURISTICS, _deepen
 from tests.conftest import LIVE_INDEX_SLEEP, obj, unit
 from tests.deepen_reference import reference_deepen
-from tests.families import detour_chain, long_chain, side_output, trap, wide_then_deep
+from tests.families import (
+    detour_chain,
+    diamond,
+    forked_chain,
+    ladder,
+    long_chain,
+    merged_recipes,
+    side_output,
+    trap,
+    wide_then_deep,
+)
 from tests.finalize_reference import reference_finalize
 from tests.finalize_sorted_reference import reference_sorted_finalize
 from tests.ids_reference import reference_depth_limited_search, reference_ids_search
 from tests.randgen import random_instance
+
+
+def merged_recipe_goals():
+    for seed in range(3):
+        graph, kitchen, goals = merged_recipes(seed, 12, 3, 4)
+        for position, goal in enumerate(goals):
+            yield (seed, position), (graph, kitchen, goal)
+
+
+# Family name -> its (case, (graph, kitchen, goal)) instances, built when a
+# test asks. Ladders of width 3 stop at n = 10: n = 11 and 12 (0.84M and
+# 2.5M calls per search) would take about 6 and 19 s at these caps on a
+# 2-core box, and tests/test_families.py pins their calls and bounds.
+FAMILY_GOALS = {
+    "ladder": lambda: [((n, width), ladder(n, width))
+                       for width, top in ((2, 12), (3, 10)) for n in range(4, top + 1)],
+    "diamond": lambda: [(n, diamond(n)) for n in range(4, 9)],
+    "merged_recipes": merged_recipe_goals,
+}
 
 
 def signatures(tree):
@@ -72,6 +101,13 @@ class TestSearchConfig:
     @pytest.mark.parametrize("max_depth", [0, -3])
     def test_max_depth_below_one_rejected(self, max_depth):
         with pytest.raises(ValueError, match=f"^max_depth must be >= 1, got {max_depth}$"):
+            SearchConfig(max_depth)
+
+    @pytest.mark.parametrize("max_depth", [2.5, 10.0, True, False, "3", None])
+    def test_max_depth_that_is_not_an_int_rejected(self, max_depth):
+        # A float cap is never met by an int bound, so IDS would search past
+        # it, and True would be reported as the final depth bound.
+        with pytest.raises(ValueError, match=f"^max_depth must be an int, got {max_depth!r}$"):
             SearchConfig(max_depth)
 
     def test_run_algorithm_rejects_max_depth_zero(self, chain):
@@ -577,21 +613,41 @@ class TestIdsSearch:
         "instance, solved_at",
         [
             (long_chain(300), 301), (trap(), 17), (detour_chain(), 61), (side_output(), 6),
-            (wide_then_deep(5, 20, 40), 42),
+            (wide_then_deep(5, 20, 40), 42), (forked_chain(), 26),
         ],
-        ids=["long_chain", "trap", "detour_chain", "side_output", "wide_then_deep"],
+        ids=["long_chain", "trap", "detour_chain", "side_output", "wide_then_deep",
+             "forked_chain"],
     )
     def test_deep_choice_points_match_the_snapshot_reference(self, instance, solved_at):
-        # Each cap below the solving bound fails every pass and restores
-        # the state of each pass's first cutoff; each cap from it on
+        # Every cap from 1 to one past the solving bound. Below the cap a
+        # bound's first cutoff raises the bound in place when no choice
+        # point is on the stack, and otherwise takes a copy that a failed
+        # pass restores; the last bound stops at the cap on either path, or
         # backtracks after cutoffs and then succeeds.
         graph, kitchen, goal = instance
         live = graph.live_producers(kitchen)
-        for max_depth in (solved_at // 2, solved_at - 1, solved_at, solved_at + 20):
+        for max_depth in range(1, solved_at + 2):
             expected = reference_deepen(live, kitchen.keys, goal.key, max_depth)
             assert _deepen(live, kitchen.keys, goal.key, max_depth) == expected, max_depth
             assert (expected[0] is not None) == (max_depth >= solved_at), max_depth
             assert expected[1] == min(max_depth, solved_at), max_depth
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_GOALS))
+    def test_families_with_several_producers_match_the_snapshot_reference(self, family):
+        """Ladders, diamonds and merged recipes, whose items have several
+        live producers of equal depth: a search raises its first bounds in
+        place, until a choice point is on the stack, and then restores every
+        failed bound from a copy after retrying each combination below it.
+        Every goal at caps 1, h - 1, h, h + 1 and 100, where h is its
+        solving bound."""
+        for case, (graph, kitchen, goal) in FAMILY_GOALS[family]():
+            live = graph.live_producers(kitchen)
+            solved_at = reference_deepen(live, kitchen.keys, goal.key, 100)[1]
+            for max_depth in (1, solved_at - 1, solved_at, solved_at + 1, 100):
+                expected = reference_deepen(live, kitchen.keys, goal.key, max_depth)
+                actual = _deepen(live, kitchen.keys, goal.key, max_depth)
+                assert actual == expected, (case, max_depth)
+                assert (expected[0] is not None) == (max_depth >= solved_at), (case, max_depth)
 
     def test_elapsed_seconds_excludes_building_the_live_index(self, chain, slow_live_index):
         graph, kitchen, goal = chain
