@@ -156,6 +156,8 @@ class ObjectNode(_Value):
     states, sorted ingredients), joined from escaped strings. Two nodes get
     equal keys exactly when their normalized content is equal, regardless of
     state/ingredient order, letter case or surrounding whitespace.
+    :meth:`with_label` makes a node of another label over the same states
+    and ingredients without sorting or quoting them again.
     """
 
     _fields = ("label", "states", "ingredients")
@@ -175,6 +177,24 @@ class ObjectNode(_Value):
         _set(self, "states", states)
         _set(self, "ingredients", ingredients)
         _set(self, "key", f"[{_quote(normalized)},[{pairs}],[{contents}]]")
+
+    def with_label(self, label: str) -> ObjectNode:
+        """A node of ``label`` with this node's states and ingredients.
+
+        Equal to ``ObjectNode(label, self.states, self.ingredients)``, and
+        raises the same InvalidNodeError for an empty label. It shares this
+        node's sets and the states and ingredients part of its key, so only
+        the label is normalized and quoted.
+        """
+        normalized = normalize(label)
+        if not normalized:
+            raise InvalidNodeError("object label is empty after normalization")
+        node = object.__new__(ObjectNode)
+        _set(node, "label", normalized)
+        _set(node, "states", self.states)
+        _set(node, "ingredients", self.ingredients)
+        _set(node, "key", "[" + _quote(normalized) + self.key[len(_quote(self.label)) + 1:])
+        return node
 
 
 def node_key(node: ObjectNode) -> NodeKey:

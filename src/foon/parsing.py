@@ -26,8 +26,12 @@ message for an empty label is the :class:`InvalidNodeError` of
 anchored to the O, S or M line. Each distinct line is split into tag and
 payload, each distinct S payload parsed, each distinct M payload made a
 :class:`MotionNode` and each distinct object text (its O payload and S
-payloads) built into a node once per parse. Equal motion payloads share one
-motion, and nodes with equal keys are one shared instance.
+payloads) built into a node once per parse. Only the first object over a
+distinct tuple of S payloads runs :class:`ObjectNode`; an object with
+another label over the same S payloads is that node's
+:meth:`ObjectNode.with_label`, which shares its states, ingredients and the
+tail of its key. Equal motion payloads share one motion, and nodes with
+equal keys are one shared instance.
 
 Kitchen and goal files are JSON lists of ``{"label": ..., "states": [...],
 "ingredients": [...]}`` records whose state strings use the same payload
@@ -172,6 +176,7 @@ def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnost
     parsed_states: dict[str, tuple] = {}  # S payload -> parse_state_payload result
     motions: dict[str, MotionNode] = {}  # M payload -> its one instance
     built: dict[tuple[str, ...], ObjectNode] = {}  # O and S payloads -> node
+    alike: dict[tuple[str, ...], ObjectNode] = {}  # S payloads -> first node of them
     shared: dict[str, ObjectNode] = {}  # node key -> its one instance
     failed = False
 
@@ -185,22 +190,28 @@ def parse_foon_text(text: str) -> tuple[list[FunctionalUnit], list[ParseDiagnost
         node = built.get(content)
         if node is not None:
             return node
-        states: set[StateDescriptor] = set()
-        ingredients: set[str] = set()
-        for line_number, payload in zip(lines[1:], payloads[1:]):
-            parsed = parsed_states.get(payload)
-            if parsed is None:
-                try:
-                    parsed = parsed_states[payload] = parse_state_payload(payload)
-                except InvalidNodeError as exc:
-                    error(line_number, str(exc))
-                    return None
-            state, extra = parsed
-            if state is not None:
-                states.add(state)
-            ingredients.update(extra)
+        state_part = content[1:]
+        sibling = alike.get(state_part)
+        if sibling is None:
+            states: set[StateDescriptor] = set()
+            ingredients: set[str] = set()
+            for line_number, payload in zip(lines[1:], state_part):
+                parsed = parsed_states.get(payload)
+                if parsed is None:
+                    try:
+                        parsed = parsed_states[payload] = parse_state_payload(payload)
+                    except InvalidNodeError as exc:
+                        error(line_number, str(exc))
+                        return None
+                state, extra = parsed
+                if state is not None:
+                    states.add(state)
+                ingredients.update(extra)
         try:
-            node = ObjectNode(payloads[0], states, ingredients)
+            if sibling is None:
+                node = alike[state_part] = ObjectNode(payloads[0], states, ingredients)
+            else:
+                node = sibling.with_label(payloads[0])
         except InvalidNodeError as exc:
             error(lines[0], str(exc))
             return None

@@ -38,6 +38,19 @@ from tests.randgen import random_instance
 from tests.test_properties import unit_lists
 
 
+def _count_node_inits(monkeypatch) -> list[int]:
+    """A one-item list that counts ``ObjectNode.__init__`` calls from now on."""
+    count = [0]
+    original = ObjectNode.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ObjectNode, "__init__", counting)
+    return count
+
+
 class TestParseFoonText:
     def test_sample_unit(self, sample_unit):
         u = sample_unit
@@ -141,6 +154,19 @@ class TestParseFoonText:
         assert calls == {"dirty {soap}": 1, "clean": 1}
         assert all(u.inputs[0] is units[0].inputs[0] for u in units)
 
+    def test_each_distinct_state_line_set_builds_one_node(self, monkeypatch):
+        # The other plates take the first one's states, ingredients and key
+        # tail through ObjectNode.with_label, which runs no __init__.
+        inits = _count_node_inits(monkeypatch)
+        plates = "".join(f"O plate {i}\nS clean\n" for i in range(50))
+        units, diagnostics = parse_foon_text(f"//\n{plates}M stack\nO stack\nS tall\n//\n")
+        assert not diagnostics and len(units[0].inputs) == 50
+        assert inits == [2]
+        plate = units[0].inputs[7]
+        expected = ObjectNode("plate 7", {StateDescriptor("clean")})
+        assert plate == expected and plate.key == expected.key
+        assert all(node.states is units[0].inputs[0].states for node in units[0].inputs)
+
     def test_equal_motion_payloads_share_one_motion(self):
         text = "".join(
             f"//\nO cup {i}\nM {motion}\nO plate {i}\n"
@@ -241,6 +267,12 @@ foon_texts = st.one_of(
 )
 
 
+def _derived(units):
+    """What unit equality does not compare: the slots derived on
+    construction. The key tuples are the keys of every input and output."""
+    return [(u.input_keys, u.output_keys, u.signature) for u in units]
+
+
 class TestAgainstReference:
     """The one-pass parser against a frozen copy of the block-object parser."""
 
@@ -250,6 +282,7 @@ class TestAgainstReference:
         units, diagnostics = parse_foon_text(text)
         expected_units, expected_diagnostics = reference_parse_foon_text(text)
         assert units == expected_units
+        assert _derived(units) == _derived(expected_units)
         failed = any(d.severity == "error" for d in expected_diagnostics)
         assert any(d.severity == "error" for d in diagnostics) == failed
         if not failed:
@@ -276,7 +309,26 @@ def test_layered_graph_text_matches_the_reference(layered):
     text = serialize_units(layered[0].units)
     units, diagnostics = parse_foon_text(text)
     assert not diagnostics and len(units) == len(layered[0].units)
-    assert (units, diagnostics) == reference_parse_foon_text(text)
+    expected = reference_parse_foon_text(text)
+    assert (units, diagnostics) == expected
+    assert _derived(units) == _derived(expected[0])
+
+
+def test_layered_text_builds_one_node_per_distinct_state_line_set(layered, monkeypatch):
+    text = serialize_units(layered[0].units)
+    objects, state_lines = [], None  # the S payloads of every object
+    for line in text.splitlines():
+        if line.startswith("S "):
+            state_lines.append(line[2:])
+            continue
+        if state_lines is not None:
+            objects.append(tuple(state_lines))
+        state_lines = [] if line.startswith("O ") else None
+    inits = _count_node_inits(monkeypatch)
+    units, diagnostics = parse_foon_text(text)
+    assert not diagnostics and len(units) == len(layered[0].units)
+    assert len(objects) == 3 * len(units)
+    assert inits == [len(set(objects))]
 
 
 _key_text = st.text(alphabet=st.sampled_from('aB "\\\u00e9\u2603\U0001f373\t\x07,{}[]'))

@@ -1,12 +1,14 @@
 import json
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from foon import (
     INPUT_COUNT,
     SUCCESS_RATE,
     FunctionalUnit,
+    InvalidNodeError,
     Kitchen,
     MotionNode,
     ObjectNode,
@@ -89,6 +91,32 @@ def test_node_key_is_the_compact_json_dump(label, states, ingredients):
     assert node.key.isascii()
     pairs = sorted([s.label, s.relative_container or ""] for s in node.states)
     assert json.loads(node.key) == [normalize(label), pairs, sorted(node.ingredients)]
+
+
+# New labels for a node: any text as above, blank text and lone surrogates.
+new_labels = any_text | st.sampled_from(["", " \t\n", "\ud800", 'Pan "\udfff" \\ \u00e9'])
+
+
+@settings(max_examples=300)
+@given(any_label, st.lists(st.tuples(any_label, st.none() | any_text), max_size=3),
+       st.lists(any_text, max_size=3), new_labels)
+def test_with_label_is_the_node_of_that_label_over_the_same_sets(
+    label, states, ingredients, new_label
+):
+    node = ObjectNode(
+        label, frozenset(StateDescriptor(*state) for state in states), frozenset(ingredients)
+    )
+    try:
+        expected = ObjectNode(new_label, node.states, node.ingredients)
+    except InvalidNodeError as exc:
+        with pytest.raises(InvalidNodeError) as caught:
+            node.with_label(new_label)
+        assert str(caught.value) == str(exc)
+        return
+    relabelled = node.with_label(new_label)
+    assert type(relabelled) is ObjectNode
+    assert relabelled == expected and relabelled.key == expected.key
+    assert relabelled.states is node.states and relabelled.ingredients is node.ingredients
 
 
 any_nodes = st.builds(
