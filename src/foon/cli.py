@@ -30,7 +30,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .core import FoonError, FoonGraph, Kitchen, ObjectNode, build_graph
+from .core import FoonError, FoonGraph, ObjectNode, build_graph
 from .parsing import (
     ERROR,
     FoonWarning,
@@ -127,20 +127,14 @@ def load_graph(foon: str, motion_rates: str | None = None) -> FoonGraph:
     return _from_file(foon, build_graph, units)
 
 
-def load_inputs(args) -> tuple[FoonGraph, Kitchen, list[ObjectNode]]:
-    """Parse and assemble all input files, raising FoonError on any problem."""
-    graph = load_graph(args.foon, args.motion_rates)
-    kitchen = _from_file(args.kitchen, parse_kitchen, _read_text(args.kitchen, "kitchen"))
-    goals = _from_file(args.goals, parse_goals, _read_text(args.goals, "goals"))
-    return graph, kitchen, goals
-
-
 def _run_goals(args, algorithms) -> list[dict]:
     """One report row, a JSON object, per (goal, algorithm) in that order.
     ``reason``, ``missing_key`` and ``final_depth_bound`` come from the
     search outcome and are None where the search gives none; ``error`` is a
     failed tree or DOT write."""
-    graph, kitchen, goals = load_inputs(args)
+    graph = load_graph(args.foon, args.motion_rates)
+    kitchen = _from_file(args.kitchen, parse_kitchen, _read_text(args.kitchen, "kitchen"))
+    goals = _from_file(args.goals, parse_goals, _read_text(args.goals, "goals"))
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -326,22 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "dot":
-        try:
-            graph = load_graph(args.foon)
-        except FoonError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        return 0 if _print_stdout(export_dot(graph)) else 1
-    if args.max_depth < 1:
-        print("error: --max-depth must be at least 1", file=sys.stderr)
-        return 1
-    if args.command == "run" and args.algorithm != "all":
-        algorithms = (args.algorithm.replace("-", "_"),)
-    else:
-        algorithms = tuple(ALGORITHMS)
-
     try:
+        if args.command == "dot":
+            return 0 if _print_stdout(export_dot(load_graph(args.foon))) else 1
+        if args.max_depth < 1:
+            raise FoonError("--max-depth must be at least 1")
+        if args.command == "run" and args.algorithm != "all":
+            algorithms = (args.algorithm.replace("-", "_"),)
+        else:
+            algorithms = tuple(ALGORITHMS)
         rows = _run_goals(args, algorithms)
         text = format_table(rows)
         if args.command == "bench":

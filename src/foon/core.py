@@ -227,7 +227,7 @@ class FunctionalUnit(_Value):
     string so that it caches its hash. All three are computed once on
     construction. The signature deliberately ignores the motion's success
     rate and the unit index, so re-weighted or re-numbered copies of the
-    same step compare equal.
+    same step compare equal; :meth:`_with` makes such a copy.
     """
 
     _fields = ("inputs", "motion", "outputs", "unit_index")
@@ -251,25 +251,12 @@ class FunctionalUnit(_Value):
         _set(self, "output_keys", output_keys)
         _set(self, "signature", signature)
 
-    def with_motion(self, motion: MotionNode) -> FunctionalUnit:
-        """This unit with ``motion`` in place of a motion of the same label.
-
-        Copies the fields as they are: the keys and signature cannot change
-        with the success rate, so they are not computed again.
-        """
-        if motion.label != self.motion.label:
-            raise ValueError(f"motion {motion.label!r} does not match {self.motion.label!r}")
-        return self._with(motion, self.unit_index)
-
-    def with_index(self, unit_index: int) -> FunctionalUnit:
-        """This unit renumbered to ``unit_index``.
-
-        Copies the fields as they are: the keys and signature do not depend
-        on the index, so they are not computed again.
-        """
-        return self._with(self.motion, unit_index)
-
     def _with(self, motion: MotionNode, unit_index: int) -> FunctionalUnit:
+        """This unit with ``motion`` (of this motion's label) and ``unit_index``.
+
+        The keys and signature depend on neither the success rate nor the
+        index, so they are copied, not computed again.
+        """
         unit = object.__new__(FunctionalUnit)
         unit._fill(self.inputs, motion, self.outputs, unit_index, self.input_keys,
                    self.output_keys, self.signature)
@@ -310,7 +297,7 @@ class FoonGraph(_Value):
                 continue
             seen.add(unit.signature)
             if unit.unit_index != len(kept):
-                unit = unit.with_index(len(kept))
+                unit = unit._with(unit.motion, len(kept))
             kept.append(unit)
         _set(self, "units", tuple(kept))
         _set(self, "producers", _producer_index(kept))

@@ -66,7 +66,6 @@ __all__ = [
 ]
 
 import json
-import numbers
 import re
 import warnings
 
@@ -365,7 +364,7 @@ def parse_motion_rates(text: str) -> dict[str, float]:
 
     rates: dict[str, float] = {}
     for raw_label, value in data:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"motion rates: rate for {raw_label!r} must be a number")
         try:
             motion = MotionNode(raw_label, value)
@@ -383,9 +382,9 @@ def apply_motion_rates(
     """Attach success rates to motions; absent motions default to 1.0.
 
     Rate labels are matched after :class:`MotionNode` normalizes them. A
-    unit whose motion has a rate is copied with
-    :meth:`FunctionalUnit.with_motion`, which keeps its keys and signature.
-    Warns once per motion label that has no entry in the rate map.
+    unit whose motion has a rate is copied with that motion, and keeps its
+    index, keys and signature. Warns once per motion label that has no entry
+    in the rate map.
     """
     motions = {m.label: m for m in map(MotionNode, rates, rates.values())}
     missing: set[str] = set()
@@ -393,7 +392,7 @@ def apply_motion_rates(
     for unit in units:
         label = unit.motion.label
         if label in motions:
-            unit = unit.with_motion(motions[label])
+            unit = unit._with(motions[label], unit.unit_index)
         elif label not in missing:
             missing.add(label)
             warnings.warn(

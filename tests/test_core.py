@@ -357,20 +357,7 @@ def test_unit_signature_ignores_weight_and_index():
     assert base.signature != unit([obj("a")], "stir", [obj("b")]).signature
 
 
-def test_with_motion_swaps_only_the_motion():
-    base = unit([obj("b"), obj("a")], "Mix", [obj("c")], index=3)
-    rated = base.with_motion(MotionNode("mix", 0.25))
-    # A full rebuild is the reference: it computes the keys and signature anew.
-    rebuilt = FunctionalUnit(base.inputs, MotionNode("mix", 0.25), base.outputs, base.unit_index)
-    assert rated == rebuilt
-    assert rated.motion.success_rate == 0.25 and base.motion.success_rate == 1.0
-    for name in ("inputs", "outputs", "unit_index", "input_keys", "output_keys", "signature"):
-        assert getattr(rated, name) == getattr(base, name)
-    with pytest.raises(ValueError, match="'stir' does not match 'mix'"):
-        base.with_motion(MotionNode("stir", 0.5))
-
-
-def test_with_index_matches_replace_in_build_graph():
+def test_build_graph_renumbers_like_a_full_rebuild():
     rng = random.Random(11)
     for seed in range(30):
         units = list(random_instance(seed).graph.units)

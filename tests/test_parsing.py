@@ -29,7 +29,7 @@ from foon import (
     serialize_units,
 )
 from foon.parsing import RenderMemo
-from tests.conftest import SAMPLE_UNIT_TEXT, obj, unit
+from tests.conftest import SAMPLE_UNIT_TEXT, layered_units, obj, unit
 from tests.parse_reference import (
     reference_parse_foon_text,
     reference_parse_state_payload,
@@ -331,6 +331,59 @@ def test_layered_text_builds_one_node_per_distinct_state_line_set(layered, monke
     assert inits == [len(set(objects))]
 
 
+def _set_up_constructions(monkeypatch, text: str, rates: dict[str, float]):
+    """The graph that ``text`` and ``rates`` set up, and the
+    (``FunctionalUnit.__init__`` calls, ``FunctionalUnit._with`` copies) of
+    each stage in turn: the parse, the rates and the graph."""
+    counts = [0, 0]
+    init, copy = FunctionalUnit.__init__, FunctionalUnit._with
+
+    def counting_init(self, *args, **kwargs):
+        counts[0] += 1
+        init(self, *args, **kwargs)
+
+    def counting_copy(self, *args, **kwargs):
+        counts[1] += 1
+        return copy(self, *args, **kwargs)
+
+    monkeypatch.setattr(FunctionalUnit, "__init__", counting_init)
+    monkeypatch.setattr(FunctionalUnit, "_with", counting_copy)
+    stages = []
+    units, diagnostics = parse_foon_text(text)
+    assert not diagnostics
+    stages.append(tuple(counts))
+    counts[:] = [0, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FoonWarning)
+        units = apply_motion_rates(units, rates)
+    stages.append(tuple(counts))
+    counts[:] = [0, 0]
+    graph = build_graph(units)
+    stages.append(tuple(counts))
+    return graph, stages
+
+
+def test_set_up_constructs_each_block_once_and_only_copies_after(monkeypatch):
+    # The pour block twice before the rest: the graph drops the second one,
+    # so heat and steep move down one index each. Heat has no rate.
+    pour = "//\nO pitcher\nS contains {water}\nM pour\nO cup\nS full\n"
+    text = (pour + pour + "//\nO cup\nS full\nM heat\nO cup\nS hot\n"
+            "//\nO cup\nS hot\nM steep\nO tea\nS hot\n//\n")
+    graph, stages = _set_up_constructions(monkeypatch, text, {"pour": 0.9, "steep": 0.5})
+    assert stages == [(4, 0), (0, 3), (0, 2)]
+    assert [(u.motion.label, u.motion.success_rate, u.unit_index) for u in graph.units] == [
+        ("pour", 0.9, 0), ("heat", 1.0, 1), ("steep", 0.5, 2)]
+
+
+def test_layered_set_up_copies_each_unit_once_for_its_rate(monkeypatch):
+    # c8's layered graph: every motion has a rate and no unit is dropped.
+    units = layered_units()[0]
+    rates = {unit.motion.label: 0.5 for unit in units}
+    graph, stages = _set_up_constructions(monkeypatch, serialize_units(units), rates)
+    assert len(graph) == len(units) == 5004
+    assert stages == [(5004, 0), (0, 5004), (0, 0)]
+
+
 _key_text = st.text(alphabet=st.sampled_from('aB "\\\u00e9\u2603\U0001f373\t\x07,{}[]'))
 _key_label = _key_text.filter(normalize)
 
@@ -517,8 +570,13 @@ class TestMotionRates:
             ('{"Pour": 1.5}', "success rate 1.5 outside [0, 1]"),
             # Too large for a float: range-checked before any conversion.
             ('{"Pour": 1' + "0" * 400 + "}", "outside [0, 1]"),
+            # Python's json reads these three non-standard words as floats.
+            ('{"Pour": NaN}', "success rate nan outside [0, 1]"),
+            ('{"Pour": Infinity}', "success rate inf outside [0, 1]"),
+            ('{"Pour": -Infinity}', "success rate -inf outside [0, 1]"),
         ],
-        ids=["empty-label", "rate-above-one", "rate-beyond-float"],
+        ids=["empty-label", "rate-above-one", "rate-beyond-float", "nan", "infinity",
+             "minus-infinity"],
     )
     def test_motion_errors_name_the_label(self, text, message):
         label = next(iter(json.loads(text)))

@@ -2,7 +2,10 @@ import collections
 import itertools
 import pickle
 import random
+import sys
+import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -233,7 +236,7 @@ class TestFinalizeTree:
         for seed in range(500):
             kitchen, lists = _finalize_corpus(seed)
             for discovery, target, _ in lists:
-                for units in (discovery, [u.with_index(0) for u in discovery]):
+                for units in (discovery, [u._with(u.motion, 0) for u in discovery]):
                     expected = reference_sorted_finalize(units, target, kitchen)
                     ordering.clear()
                     actual = finalize_tree(units, target, kitchen)
@@ -877,3 +880,44 @@ def test_search_agreement_on_chain(chain):
     for heuristic in (SUCCESS_RATE, INPUT_COUNT):
         gbfs_tree = gbfs_search(graph, kitchen, goal, SearchConfig(heuristic=heuristic)).tree
         assert signatures(gbfs_tree) == signatures(ids_tree)
+
+
+def test_searches_over_one_graph_can_run_concurrently():
+    """Four threads run every (goal, algorithm) of a few randgen instances on
+    one shared graph, each pair against two kitchens by turns, so the
+    live-producer memo changes hands while greedy searches fill the
+    commitments. Every outcome, and the graph's commitments afterwards,
+    equal those of a serial run of the same searches on a fresh graph."""
+    def fields(outcome):
+        stats = outcome.stats
+        return (outcome.status, outcome.tree and outcome.tree.steps, stats.nodes_expanded,
+                stats.final_depth_bound, outcome.missing_key, outcome.reason)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over often, so searches interleave
+    try:
+        for seed in range(20):
+            instance = random_instance(seed, acyclic=(seed % 2 == 0))
+            pool = instance.pool
+            kitchens = (instance.kitchen,
+                        Kitchen([node for node in pool if node.key not in instance.kitchen][::2]))
+            jobs = [(name, goal, kitchen) for goal in pool for name in ALGORITHMS
+                    for kitchen in kitchens]
+            serial_graph = FoonGraph(instance.graph.units)
+            serial = [fields(run_algorithm(name, serial_graph, kitchen, goal))
+                      for name, goal, kitchen in jobs]
+            shared = FoonGraph(instance.graph.units)
+            threads = set()
+
+            def run(job):
+                threads.add(threading.get_ident())
+                name, goal, kitchen = job
+                return fields(run_algorithm(name, shared, kitchen, goal))
+
+            with ThreadPoolExecutor(max_workers=4) as executor:
+                threaded = list(executor.map(run, jobs, timeout=60))
+            assert len(threads) > 1, seed
+            assert threaded == serial, seed
+            assert shared.commitments == serial_graph.commitments, seed
+    finally:
+        sys.setswitchinterval(switch)
