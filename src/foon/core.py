@@ -20,12 +20,14 @@ trimmed and whitespace-collapsed, and two nodes are the same node exactly
 when their normalized content is equal. Each node computes its key, and
 each unit its keys and signature, as JSON text (a string caches its
 hash), once on construction; there is no process-global cache. The value
-types are ``__slots__`` classes that set each field once in ``__init__``,
-compare by content and raise AttributeError on assignment, so they are safe
-to share between searches. A graph remembers two things, each a pure
-function of what it was computed from: its live-producer index for the
-last kitchen, and the greedy commitments of each heuristic, one unit per
-item with several producers, filled as searches first rank them.
+types are ``__slots__`` classes that compare by content and raise
+AttributeError on assignment, so they are safe to share between searches.
+Each slot is written only through the setter :func:`_setters` binds once
+per class, by ``__init__`` or a copy that skips it. A graph remembers two
+things, each a pure function of what it was computed from: its
+live-producer index for the last kitchen, and the greedy commitments of
+each heuristic, one unit per item with several producers, filled as
+searches first rank them.
 """
 
 from __future__ import annotations
@@ -58,16 +60,13 @@ from operator import attrgetter
 
 NodeKey = str
 
-# Sets a slot of a value under construction; assignment raises afterwards.
-_set = object.__setattr__
-
 
 class _Value:
     """Base of the immutable value types. ``_fields`` names the ``__init__``
-    parameters in order; ``__init__`` sets each slot once with ``_set``, and
-    a slot not in ``_fields`` is derived from them. Instances of one class
-    with equal fields are equal and hash as the tuple of their fields;
-    assigning or deleting an attribute raises AttributeError."""
+    parameters in order; ``__init__`` sets each slot once with its
+    :func:`_setters` setter, and a slot not in ``_fields`` is derived from
+    them. Instances of one class with equal fields are equal and hash as the
+    tuple of their fields; assigning or deleting raises AttributeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -98,6 +97,12 @@ class _Value:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _setters(cls: type[_Value]) -> tuple:
+    """The bound ``__set__`` of each slot of ``cls``, in ``__slots__`` order:
+    the one way to write a slot, bound once per class at module level."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 class FoonError(Exception):
@@ -140,8 +145,8 @@ class StateDescriptor(_Value):
             raise InvalidNodeError("state label is empty after normalization")
         if relative_container is not None:
             relative_container = normalize(relative_container) or None
-        _set(self, "label", normalized)
-        _set(self, "relative_container", relative_container)
+        _set_state_label(self, normalized)
+        _set_state_container(self, relative_container)
 
 
 def _state_sort_key(state: StateDescriptor) -> tuple[str, str]:
@@ -173,10 +178,10 @@ class ObjectNode(_Value):
         ordered = sorted(map(_state_sort_key, states))
         pairs = ",".join([f"[{_quote(s)},{_quote(c)}]" for s, c in ordered])
         contents = ",".join(map(_quote, sorted(ingredients)))
-        _set(self, "label", normalized)
-        _set(self, "states", states)
-        _set(self, "ingredients", ingredients)
-        _set(self, "key", f"[{_quote(normalized)},[{pairs}],[{contents}]]")
+        _set_node_label(self, normalized)
+        _set_node_states(self, states)
+        _set_node_ingredients(self, ingredients)
+        _set_node_key(self, f"[{_quote(normalized)},[{pairs}],[{contents}]]")
 
     def with_label(self, label: str) -> ObjectNode:
         """A node of ``label`` with this node's states and ingredients.
@@ -190,10 +195,10 @@ class ObjectNode(_Value):
         if not normalized:
             raise InvalidNodeError("object label is empty after normalization")
         node = object.__new__(ObjectNode)
-        _set(node, "label", normalized)
-        _set(node, "states", self.states)
-        _set(node, "ingredients", self.ingredients)
-        _set(node, "key", "[" + _quote(normalized) + self.key[len(_quote(self.label)) + 1:])
+        _set_node_label(node, normalized)
+        _set_node_states(node, self.states)
+        _set_node_ingredients(node, self.ingredients)
+        _set_node_key(node, "[" + _quote(normalized) + self.key[len(_quote(self.label)) + 1:])
         return node
 
 
@@ -214,8 +219,8 @@ class MotionNode(_Value):
             raise InvalidNodeError("motion label is empty after normalization")
         if not 0.0 <= success_rate <= 1.0:
             raise InvalidNodeError(f"success rate {success_rate!r} outside [0, 1]")
-        _set(self, "label", normalized)
-        _set(self, "success_rate", float(success_rate))
+        _set_motion_label(self, normalized)
+        _set_motion_rate(self, float(success_rate))
 
 
 class FunctionalUnit(_Value):
@@ -240,16 +245,13 @@ class FunctionalUnit(_Value):
         output_keys = tuple([node.key for node in outputs])
         signature = (f"[[{','.join(sorted(input_keys))}],{_quote(motion.label)},"
                      f"[{','.join(sorted(output_keys))}]]")
-        self._fill(inputs, motion, outputs, unit_index, input_keys, output_keys, signature)
-
-    def _fill(self, inputs, motion, outputs, unit_index, input_keys, output_keys, signature):
-        _set(self, "inputs", inputs)
-        _set(self, "motion", motion)
-        _set(self, "outputs", outputs)
-        _set(self, "unit_index", unit_index)
-        _set(self, "input_keys", input_keys)
-        _set(self, "output_keys", output_keys)
-        _set(self, "signature", signature)
+        _set_unit_inputs(self, inputs)
+        _set_unit_motion(self, motion)
+        _set_unit_outputs(self, outputs)
+        _set_unit_index(self, unit_index)
+        _set_unit_input_keys(self, input_keys)
+        _set_unit_output_keys(self, output_keys)
+        _set_unit_signature(self, signature)
 
     def _with(self, motion: MotionNode, unit_index: int) -> FunctionalUnit:
         """This unit with ``motion`` (of this motion's label) and ``unit_index``.
@@ -258,8 +260,13 @@ class FunctionalUnit(_Value):
         index, so they are copied, not computed again.
         """
         unit = object.__new__(FunctionalUnit)
-        unit._fill(self.inputs, motion, self.outputs, unit_index, self.input_keys,
-                   self.output_keys, self.signature)
+        _set_unit_inputs(unit, self.inputs)
+        _set_unit_motion(unit, motion)
+        _set_unit_outputs(unit, self.outputs)
+        _set_unit_index(unit, unit_index)
+        _set_unit_input_keys(unit, self.input_keys)
+        _set_unit_output_keys(unit, self.output_keys)
+        _set_unit_signature(unit, self.signature)
         return unit
 
 
@@ -299,10 +306,10 @@ class FoonGraph(_Value):
             if unit.unit_index != len(kept):
                 unit = unit._with(unit.motion, len(kept))
             kept.append(unit)
-        _set(self, "units", tuple(kept))
-        _set(self, "producers", _producer_index(kept))
-        _set(self, "_live_memo", None)
-        _set(self, "commitments", {})
+        _set_graph_units(self, tuple(kept))
+        _set_producers(self, _producer_index(kept))
+        _set_live_memo(self, None)
+        _set_commitments(self, {})
 
     def producers_of(self, key: NodeKey) -> tuple[FunctionalUnit, ...]:
         """Units whose outputs contain ``key``, in ascending unit_index order."""
@@ -323,7 +330,7 @@ class FoonGraph(_Value):
 
         fired, _ = forward_chain(self.units, kitchen.keys)
         live = _producer_index(map(self.units.__getitem__, sorted(fired)))
-        _set(self, "_live_memo", (kitchen.keys, live))
+        _set_live_memo(self, (kitchen.keys, live))
         return live
 
     def __len__(self) -> int:
@@ -407,8 +414,8 @@ class Kitchen(_Value):
         first: dict[NodeKey, ObjectNode] = {}
         for node in nodes:
             first.setdefault(node.key, node)
-        _set(self, "nodes", tuple([first[key] for key in sorted(first)]))
-        _set(self, "keys", frozenset(first))
+        _set_kitchen_nodes(self, tuple([first[key] for key in sorted(first)]))
+        _set_kitchen_keys(self, frozenset(first))
 
     def __contains__(self, key: NodeKey) -> bool:
         return key in self.keys
@@ -427,20 +434,31 @@ class TaskTree(_Value):
     __slots__ = _fields = ("steps", "goal")
 
     def __init__(self, steps: tuple[FunctionalUnit, ...], goal: NodeKey):
-        _set(self, "steps", tuple(steps))
-        _set(self, "goal", goal)
+        _set_tree_steps(self, tuple(steps))
+        _set_tree_goal(self, goal)
 
 
 class ValidationReport(_Value):
     __slots__ = _fields = ("violations",)
 
     def __init__(self, violations: tuple[str, ...] = ()):
-        _set(self, "violations", violations)
+        _set_report_violations(self, violations)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
+
+# The one writer of each slot (see _setters), bound once per class.
+_set_state_label, _set_state_container = _setters(StateDescriptor)
+_set_node_label, _set_node_states, _set_node_ingredients, _set_node_key = _setters(ObjectNode)
+_set_motion_label, _set_motion_rate = _setters(MotionNode)
+(_set_unit_inputs, _set_unit_motion, _set_unit_outputs, _set_unit_index,
+ _set_unit_input_keys, _set_unit_output_keys, _set_unit_signature) = _setters(FunctionalUnit)
+_set_graph_units, _set_producers, _set_live_memo, _set_commitments = _setters(FoonGraph)
+_set_kitchen_nodes, _set_kitchen_keys = _setters(Kitchen)
+_set_tree_steps, _set_tree_goal = _setters(TaskTree)
+(_set_report_violations,) = _setters(ValidationReport)
 
 _VALID = ValidationReport()
 

@@ -35,10 +35,13 @@ equal keys are one shared instance.
 
 Kitchen and goal files are JSON lists of ``{"label": ..., "states": [...],
 "ingredients": [...]}`` records whose state strings use the same payload
-mini-grammar as S lines. Motion success rates come from a JSON object
-mapping motion label to a number; :class:`MotionNode` normalizes the label
-and checks that the rate lies in [0, 1]. JSON nested too deeply to decode
-is invalid JSON like any other: a :class:`SchemaError`.
+mini-grammar as S lines and are each parsed once per document. As with S
+lines, only the first record of each distinct pair of state and ingredient
+lists runs :class:`ObjectNode`; a later one is its ``with_label``. Motion
+success rates come from a JSON object mapping motion label to a number;
+:class:`MotionNode` normalizes the label and checks that the rate lies in
+[0, 1]. JSON nested too deeply to decode is invalid JSON like any other: a
+:class:`SchemaError`.
 
 Serialization is canonical: states sorted by (label, container),
 ingredients sorted lexicographically and attached to the first state line
@@ -80,7 +83,7 @@ from .core import (
     ObjectNode,
     StateDescriptor,
     TaskTree,
-    _set,
+    _setters,
     _state_sort_key,
     _Value,
 )
@@ -103,12 +106,15 @@ class ParseDiagnostic(_Value):
     __slots__ = _fields = ("line_number", "message", "severity")
 
     def __init__(self, line_number: int, message: str, severity: str = ERROR):
-        _set(self, "line_number", line_number)
-        _set(self, "message", message)
-        _set(self, "severity", severity)
+        _set_line_number(self, line_number)
+        _set_message(self, message)
+        _set_severity(self, severity)
 
     def __str__(self) -> str:
         return f"line {self.line_number}: {self.severity}: {self.message}"
+
+
+_set_line_number, _set_message, _set_severity = _setters(ParseDiagnostic)
 
 
 _BRACES = re.compile(r"\{([^{}]*)\}")
@@ -290,47 +296,59 @@ def _parse_node_records(text: str, what: str) -> list[ObjectNode]:
 
     nodes: list[ObjectNode] = []
     parsed: dict[str, tuple] = {}  # state string -> parse_state_payload result
+    shapes: dict[tuple, ObjectNode] = {}  # (states, ingredients) as listed -> first node
+
+    def bad(message: str) -> SchemaError:
+        return SchemaError(f"{what} entry {index}: {message}")
+
     for index, entry in enumerate(data):
-        where = f"{what} entry {index}"
         if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: expected an object record")
+            raise bad("expected an object record")
         if "label" not in entry:
-            raise SchemaError(f'{where}: missing "label"')
+            raise bad('missing "label"')
         label = entry["label"]
         if not isinstance(label, str):
-            raise SchemaError(f'{where}: "label" must be a string')
+            raise bad('"label" must be a string')
         states_raw = entry.get("states", [])
         ingredients_raw = entry.get("ingredients", [])
         if not isinstance(states_raw, list):
-            raise SchemaError(f'{where}: "states" must be a list of strings')
+            raise bad('"states" must be a list of strings')
         if not isinstance(ingredients_raw, list):
-            raise SchemaError(f'{where}: "ingredients" must be a list of strings')
+            raise bad('"ingredients" must be a list of strings')
 
-        states: set[StateDescriptor] = set()
-        ingredients: set[str] = set()
-        for s in states_raw:
-            if not isinstance(s, str):
-                raise SchemaError(f'{where}: "states" must be a list of strings')
-            if s in parsed:
-                state, extra = parsed[s]
-            else:
-                try:
-                    state, extra = parsed[s] = parse_state_payload(s)
-                except InvalidNodeError as exc:
-                    raise SchemaError(f"{where}: state {s!r}: {exc}") from exc
-            if state is None:
-                # Records list ingredients in their own field.
-                raise SchemaError(f"{where}: state {s!r}: state label is empty")
-            states.add(state)
-            ingredients.update(extra)
-        for ing in ingredients_raw:
-            if not isinstance(ing, str):
-                raise SchemaError(f'{where}: "ingredients" must be a list of strings')
-            ingredients.add(ing)
+        shape = (tuple(states_raw), tuple(ingredients_raw))
         try:
-            nodes.append(ObjectNode(label, states, ingredients))
+            first = shapes.get(shape)
+        except TypeError:  # a list or object among the strings: named below
+            first = None
+        if first is None:
+            states: set[StateDescriptor] = set()
+            ingredients: set[str] = set()
+            for s in states_raw:
+                if not isinstance(s, str):
+                    raise bad('"states" must be a list of strings')
+                if s in parsed:
+                    state, extra = parsed[s]
+                else:
+                    try:
+                        state, extra = parsed[s] = parse_state_payload(s)
+                    except InvalidNodeError as exc:
+                        raise bad(f"state {s!r}: {exc}") from exc
+                if state is None:
+                    # Records list ingredients in their own field.
+                    raise bad(f"state {s!r}: state label is empty")
+                states.add(state)
+                ingredients.update(extra)
+            for ing in ingredients_raw:
+                if not isinstance(ing, str):
+                    raise bad('"ingredients" must be a list of strings')
+                ingredients.add(ing)
+        try:
+            node = first.with_label(label) if first else ObjectNode(label, states, ingredients)
         except InvalidNodeError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
+            raise bad(str(exc)) from exc
+        shapes.setdefault(shape, node)
+        nodes.append(node)
     return nodes
 
 

@@ -62,7 +62,7 @@ from .core import (
     NodeKey,
     ObjectNode,
     TaskTree,
-    _set,
+    _setters,
     _Value,
     forward_chain,
     validate_tree,
@@ -99,8 +99,8 @@ class SearchConfig(_Value):
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         if heuristic not in HEURISTICS:
             raise ValueError(f"unknown heuristic {heuristic!r}")
-        _set(self, "max_depth", max_depth)
-        _set(self, "heuristic", heuristic)
+        _set_max_depth(self, max_depth)
+        _set_heuristic(self, heuristic)
 
 
 class SearchStats(_Value):
@@ -141,11 +141,9 @@ class SearchOutcome(_Value):
         return self.status == SOLVED
 
 
-# Slot setters bound once: every search builds both records, and these skip object.__setattr__.
-_set_expanded, _set_bound, _set_elapsed = (
-    getattr(SearchStats, name).__set__ for name in SearchStats._fields)
-_set_tree, _set_status, _set_stats, _set_missing, _set_reason = (
-    getattr(SearchOutcome, name).__set__ for name in SearchOutcome._fields)
+_set_max_depth, _set_heuristic = _setters(SearchConfig)
+_set_expanded, _set_bound, _set_elapsed = _setters(SearchStats)
+_set_tree, _set_status, _set_stats, _set_missing, _set_reason = _setters(SearchOutcome)
 
 
 def heuristic_select(candidates, mode: str) -> FunctionalUnit:

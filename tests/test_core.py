@@ -431,10 +431,23 @@ def _value_pairs():
     ]
 
 
+def _copied_pairs():
+    """Values built by a method that skips ``__init__``, keyed by the method,
+    each beside its ``__init__``-built twin from :func:`_value_pairs`."""
+    pairs = {entry[0]: entry for entry in _value_pairs()}
+    node, unit = pairs[ObjectNode], pairs[FunctionalUnit]
+    cup = obj("Cup", ["Crushed", ("in", "Bowl")], ["Salt", "a"])
+    draft = FunctionalUnit((node[4], obj("glass")), MotionNode("mix"), (obj("slush"),))
+    return {
+        "ObjectNode.with_label": (*node[:3], cup.with_label(" ICE"), node[4]),
+        "FunctionalUnit._with": (*unit[:3], draft._with(MotionNode("Mix", 0.5), 2), unit[4]),
+    }
+
+
 @pytest.mark.parametrize(
     "cls, fields, derived, left, right",
-    _value_pairs(),
-    ids=[entry[0].__name__ for entry in _value_pairs()],
+    [*_value_pairs(), *_copied_pairs().values()],
+    ids=[entry[0].__name__ for entry in _value_pairs()] + list(_copied_pairs()),
 )
 class TestValueSemantics:
     """Equality, hash, signature, immutability and pickling of every value type."""

@@ -34,7 +34,7 @@ from tests.parse_reference import (
     reference_parse_foon_text,
     reference_parse_state_payload,
 )
-from tests.randgen import random_instance
+from tests.randgen import node_record, random_instance
 from tests.test_properties import unit_lists
 
 
@@ -436,6 +436,8 @@ class TestKitchenAndGoals:
             '[{"label": "a", "states": "empty"}]',
             '[{"label": "a", "ingredients": {}}]',
             '[{"label": "a", "states": [3]}]',
+            '[{"label": "a", "states": [["clean"]]}]',
+            '[{"label": "a", "ingredients": [{"salt": 1}]}]',
             '[{"label": "a", "states": ["{x}"]}]',
             '[{"label": ""}]',
             "[42]",
@@ -496,6 +498,55 @@ class TestKitchenAndGoals:
         kitchen = parse_kitchen(json.dumps(entries))
         assert len(kitchen) == 20 and calls == {"clean": 1, "in [rack]": 1}
         assert all(StateDescriptor("in", "rack") in node.states for node in kitchen.nodes)
+
+    @pytest.mark.parametrize("parse", [parse_kitchen, parse_goals])
+    def test_each_distinct_record_shape_builds_one_node(self, parse, monkeypatch):
+        # Later cups take the first one's sets and key tail through
+        # ObjectNode.with_label, which runs no __init__.
+        inits = _count_node_inits(monkeypatch)
+        cups = [{"label": f"cup {i}", "states": ["clean", "in [rack]"]} for i in range(20)]
+        bowls = [{"label": f"bowl {i}", "states": ["clean"], "ingredients": ["salt"]}
+                 for i in range(5)]
+        mugs = [{"label": f"mug {i}", "states": ["clean", "in [rack]"]} for i in range(3)]
+        parse(json.dumps(cups + bowls + mugs))
+        assert inits == [2]
+
+    def test_records_of_a_repeated_shape_equal_their_own_construction(self):
+        clean, racked = StateDescriptor("clean"), StateDescriptor("in", "rack")
+        entries = [
+            ({"label": "Cup", "states": ["clean", "in [rack]"]}, {clean, racked}, ()),
+            ({"label": ' big "cup" ', "states": ["clean", "in [rack]"]}, {clean, racked}, ()),
+            ({"label": "café\tcup", "states": ["clean", "in [rack]"]}, {clean, racked}, ()),
+            ({"label": "mug", "states": ["in [rack]", "clean"]}, {clean, racked}, ()),
+            ({"label": "bowl", "states": ["clean", "in [rack]"], "ingredients": ["salt"]},
+             {clean, racked}, ("salt",)),
+            ({"label": "pot", "states": ["full {Water}"], "ingredients": [" salt"]},
+             {StateDescriptor("full")}, ("water", "salt")),
+            ({"label": "Pan", "states": ["full {Water}"], "ingredients": [" salt"]},
+             {StateDescriptor("full")}, ("water", "salt")),
+            ({"label": "pan", "ingredients": ["oil", ""]}, (), ("oil",)),
+            ({"label": "wok", "ingredients": ["oil", ""]}, (), ("oil",)),
+        ]
+        text = json.dumps([entry for entry, _, _ in entries])
+        expected = [ObjectNode(entry["label"], states, ingredients)
+                    for entry, states, ingredients in entries]
+        goals = parse_goals(text)
+        assert goals == expected
+        assert [goal.key for goal in goals] == [node.key for node in expected]
+        kitchen = parse_kitchen(text)
+        assert kitchen.nodes == tuple(sorted(expected, key=lambda node: node.key))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_randgen_records_equal_their_own_construction(self, seed):
+        labelled = [(node, label) for node in random_instance(seed).pool
+                    for label in (node.label, f" {node.label.upper()} copy")]
+        records = [node_record(node, label) for node, label in labelled]
+        expected = [ObjectNode(label, node.states, node.ingredients) for node, label in labelled]
+        goals = parse_goals(json.dumps(records))
+        assert goals == expected
+        assert [goal.key for goal in goals] == [node.key for node in expected]
+        kitchen = parse_kitchen(json.dumps(records))
+        assert [node.key for node in kitchen.nodes] == sorted(node.key for node in expected)
 
     def test_goals_preserve_order(self):
         goals = parse_goals('[{"label": "b"}, {"label": "a"}]')
