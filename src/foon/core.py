@@ -474,9 +474,14 @@ def validate_tree(kitchen: Kitchen, tree: TaskTree) -> ValidationReport:
       * the final step does not output the goal,
       * two steps are structurally identical,
       * the tree is empty although the goal is not already in the kitchen.
-    A valid tree gets one shared, immutable report: compare by value, not identity.
+    Repeats are found with one set of the steps' signatures (a tree of two
+    or more steps); only when that set is shorter than the tree does the
+    loop keep each signature's first position, to name the step a repeat
+    duplicates. A valid tree gets one shared, immutable report: compare by
+    value, not identity.
     """
-    if not tree.steps:
+    steps = tree.steps
+    if not steps:
         if tree.goal in kitchen.keys:
             return _VALID
         return ValidationReport(("empty tree but goal not in kitchen",))
@@ -484,20 +489,22 @@ def validate_tree(kitchen: Kitchen, tree: TaskTree) -> ValidationReport:
     violations: list[str] = []
     kitchen_keys = kitchen.keys
     made: set[NodeKey] = set()
-    seen_signatures: dict[str, int] = {}
-    for i, unit in enumerate(tree.steps):
+    first: dict[str, int] | None = None
+    if len(steps) > 1 and len({unit.signature for unit in steps}) < len(steps):
+        first = {}
+    for i, unit in enumerate(steps):
         for key in unit.input_keys:
             if key not in made and key not in kitchen_keys:
                 violations.append(f"step {i}: input {key} unavailable")
-        if unit.signature in seen_signatures:
-            violations.append(
-                f"step {i}: duplicate of step {seen_signatures[unit.signature]}"
-            )
-        else:
-            seen_signatures[unit.signature] = i
+        if first is not None:
+            signature = unit.signature
+            if signature in first:
+                violations.append(f"step {i}: duplicate of step {first[signature]}")
+            else:
+                first[signature] = i
         made.update(unit.output_keys)
 
-    if tree.goal not in tree.steps[-1].output_keys:
+    if tree.goal not in steps[-1].output_keys:
         violations.append("final step does not output the goal")
     return ValidationReport(tuple(violations)) if violations else _VALID
 

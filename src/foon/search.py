@@ -164,24 +164,30 @@ def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None
 
     Keeps the last-discovered occurrence of each structurally identical
     unit and sorts the kept units by ``unit_index`` (a stable sort: ties
-    keep their reversed discovery order). When that list can run as is (it
-    is non-empty, the kitchen feeds its first step, its last step outputs
-    the goal and :func:`validate_tree` passes it), it is the tree. Otherwise
-    one :func:`~foon.core.forward_chain` pass from the kitchen repairs the
-    order: the ready step that comes first in the sorted list fires first,
-    which on a list that runs as is fires it in list order. So the tree
-    depends only on the set of units and the kitchen. Steps after the last
-    one that outputs the goal are dropped. Returns None when the steps
-    cannot all run in any order (a circular dependency); raises
+    keep their reversed discovery order). One set of the signatures of a
+    list of two or more units shows whether any unit repeats; when none
+    does, the reversed list is kept whole. When the sorted list can run as
+    is (it is non-empty, the kitchen feeds its first step, its last step
+    outputs the goal and :func:`validate_tree` passes it), it is the tree.
+    Otherwise one :func:`~foon.core.forward_chain` pass from the kitchen
+    repairs the order: the ready step that comes first in the sorted list
+    fires first, which on a list that runs as is fires it in list order.
+    So the tree depends only on the set of units and the kitchen. Steps
+    after the last one that outputs the goal are dropped. Returns None when
+    the steps cannot all run in any order (a circular dependency); raises
     RuntimeError if the repaired tree still fails :func:`validate_tree`.
     Either way the returned tree is validated once, as that very object.
     """
-    steps: list[FunctionalUnit] = []
-    seen: set[str] = set()
-    for unit in reversed(list(discovery)):
-        if unit.signature not in seen:
-            seen.add(unit.signature)
-            steps.append(unit)
+    steps: list[FunctionalUnit] = list(discovery)
+    steps.reverse()
+    if len(steps) > 1 and len({unit.signature for unit in steps}) < len(steps):
+        kept: list[FunctionalUnit] = []
+        seen: set[str] = set()
+        for unit in steps:
+            if unit.signature not in seen:
+                seen.add(unit.signature)
+                kept.append(unit)
+        steps = kept
     steps.sort(key=_UNIT_INDEX)
 
     # The checks on the list's two ends cost O(1) in its length and spare a

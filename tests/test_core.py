@@ -215,8 +215,9 @@ def test_forward_chain_and_validate_tree_match_the_mutating_reference(monkeypatc
     keys or repeat an input key, and the reversed discovery lists of every
     search, here and on a layered graph, where a unit often comes before
     what feeds it and has to wait. The validator checks the trees the
-    searches return and shuffled, truncated and resampled step lists that
-    mostly fail.
+    searches return, shuffled, truncated and resampled step lists that
+    mostly fail, and hand-made trees whose repeats and missing inputs
+    interleave, so that the order of mixed violations is checked too.
     """
     discoveries = []
 
@@ -277,6 +278,20 @@ def test_forward_chain_and_validate_tree_match_the_mutating_reference(monkeypatc
             deferred += _check_forward_chain(units, kitchen, seed)
         discoveries.clear()
     assert ok > 2000 and failed > 4000, (ok, failed)
+
+    a, b, c, d, g = (obj(label) for label in "abcdg")
+    cut, mix, cook = unit([a], "cut", [b]), unit([d], "mix", [c]), unit([b], "cook", [g])
+    hand_kitchen = Kitchen([a])
+    for steps, goal in [
+        ((cut, cut, mix, cut, cook), g),  # cut three times, around mix's missing input
+        ((cut, cook, cook), g),  # a repeat of the last step
+        ((cut, cook, cut), g),  # a repeat as the final step, without the goal
+        ((mix, cut, mix), c),  # a repeat with a missing input of its own
+    ]:
+        tree = TaskTree(steps, goal.key)
+        report = validate_tree(hand_kitchen, tree)
+        assert report == reference_validate_tree(hand_kitchen, tree), steps
+        assert any("duplicate" in violation for violation in report.violations), steps
 
     # Searches on a layered graph share inputs across branches, so their
     # reversed discovery lists often name a unit before what feeds it.

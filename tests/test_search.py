@@ -19,6 +19,7 @@ from foon import (
     SUCCESS_RATE,
     UNSOLVABLE,
     FoonGraph,
+    FunctionalUnit,
     Kitchen,
     SearchConfig,
     build_graph,
@@ -407,6 +408,67 @@ def test_every_layered_tree_is_ordered_in_one_scan(layered, monkeypatch):
     assert ordering == []
     assert all(tree is checked_tree for tree, (checked_tree, _) in zip(trees, checked))
     assert graph_passes == [True]
+
+
+def test_each_layered_step_signature_is_read_once_per_check(layered, monkeypatch):
+    """The work of the repeat checks, as a count: no discovery list of the
+    layered fixture's 78 searches repeats a unit, so ``finalize_tree`` and
+    ``validate_tree`` each read a step's signature once in a tree of two or
+    more steps, to build the one set that shows it, and never in a one-step
+    tree. The count starts after set-up, so the reads of the graph's own
+    dedup are not in it, and no signature is read outside the two."""
+    graph, kitchen, goals = layered
+    slot = FunctionalUnit.__dict__["signature"]
+    reads = {"search": 0, "finalize": 0, "validate": 0}
+    phase = ["search"]
+
+    def counted(unit_):
+        reads[phase[-1]] += 1
+        return slot.__get__(unit_, FunctionalUnit)
+
+    def within(name, function):
+        def spy(*args):
+            phase.append(name)
+            try:
+                return function(*args)
+            finally:
+                phase.pop()
+        return spy
+
+    monkeypatch.setattr(FunctionalUnit, "signature", property(counted))
+    monkeypatch.setattr(foon.search, "finalize_tree", within("finalize", finalize_tree))
+    monkeypatch.setattr(foon.search, "validate_tree", within("validate", validate_tree))
+    sizes = collections.Counter()
+    for goal in goals:
+        for name in ALGORITHMS:
+            reads.update(search=0, finalize=0, validate=0)
+            outcome = run_algorithm(name, graph, kitchen, goal)
+            steps = len(outcome.tree.steps)
+            once = steps if steps > 1 else 0
+            assert reads == {"search": 0, "finalize": once, "validate": once}, (goal, name)
+            sizes[steps > 1] += 1
+    assert sizes[False] > 0 and sizes[True] > 0 and sum(sizes.values()) == 78, sizes
+
+
+def test_a_unit_discovered_twice_is_one_step(monkeypatch):
+    """Both halves of the dough come from one ``split`` unit, which greedy
+    search commits to once per half: its discovery list holds ``split``
+    twice, and the tree holds it once, before the ``join`` it feeds."""
+    dough, loaf = obj("dough", ["raw"]), obj("loaf", ["shaped"])
+    halves = [obj("left half", ["raw"]), obj("right half", ["raw"])]
+    graph = build_graph([unit([dough], "split", halves, 0), unit(halves, "join", [loaf], 1)])
+    split, join = graph.units
+    discoveries = []
+
+    def spy_finalize(discovery, goal, kitchen):
+        discoveries.append(list(discovery))
+        return finalize_tree(discovery, goal, kitchen)
+
+    monkeypatch.setattr(foon.search, "finalize_tree", spy_finalize)
+    for heuristic in HEURISTICS:
+        outcome = gbfs_search(graph, Kitchen([dough]), loaf, SearchConfig(heuristic=heuristic))
+        assert discoveries.pop() == [join, split, split]
+        assert outcome.solved and outcome.tree.steps == (split, join)
 
 
 class TestIdsSearch:
