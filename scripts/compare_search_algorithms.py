@@ -5,7 +5,9 @@ Generates seeded random graphs, retrieves a task tree for one goal per
 graph with iterative deepening and both greedy heuristics, and prints
 solve rates, average tree sizes, and average search effort. Useful for
 eyeballing how often the greedy variants get stuck and how tree sizes
-compare when everything succeeds.
+compare when everything succeeds. Each algorithm searches a graph of its
+own, so no search returns a tree another one finalized, and each total
+counts its own finalizing.
 
     python scripts/compare_search_algorithms.py --instances 300 --seed 7
 """
@@ -21,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from randgen import random_instance  # noqa: E402
 
-from foon import ALGORITHMS, run_algorithm  # noqa: E402
+from foon import ALGORITHMS, FoonGraph, run_algorithm  # noqa: E402
 
 
 def main(argv=None):
@@ -37,7 +39,7 @@ def main(argv=None):
     units = {a: [] for a in algorithms}
     expanded = {a: [] for a in algorithms}
     elapsed = {a: 0.0 for a in algorithms}
-    greedy_stuck = 0
+    greedy_stuck = greedy_trees = same_as_ids = 0
 
     for i in range(args.instances):
         instance = random_instance(
@@ -48,8 +50,9 @@ def main(argv=None):
         )
         outcomes = {}
         for name in algorithms:
+            graph = FoonGraph(instance.graph.units)
             start = time.perf_counter()
-            outcome = run_algorithm(name, instance.graph, instance.kitchen, instance.goal)
+            outcome = run_algorithm(name, graph, instance.kitchen, instance.goal)
             elapsed[name] += time.perf_counter() - start
             outcomes[name] = outcome
             if outcome.solved:
@@ -60,6 +63,10 @@ def main(argv=None):
             outcomes["gbfs_a"].solved and outcomes["gbfs_b"].solved
         ):
             greedy_stuck += 1
+        for name in ("gbfs_a", "gbfs_b"):
+            if outcomes[name].solved:
+                greedy_trees += 1
+                same_as_ids += outcomes[name].tree == outcomes["ids"].tree
 
     print(f"instances: {args.instances} (seed {args.seed})")
     print(f"{'algorithm':<10} {'solved':>7} {'avg units':>10} {'avg expanded':>13} {'total ms':>9}")
@@ -71,6 +78,7 @@ def main(argv=None):
             f"{elapsed[name] * 1000:>9.1f}"
         )
     print(f"\nsolvable instances where a greedy variant got stuck: {greedy_stuck}")
+    print(f"greedy trees equal to the IDS tree: {same_as_ids} of {greedy_trees}")
     return 0
 
 

@@ -23,11 +23,11 @@ hash), once on construction; there is no process-global cache. The value
 types are ``__slots__`` classes that compare by content and raise
 AttributeError on assignment, so they are safe to share between searches.
 Each slot is written only through the setter :func:`_setters` binds once
-per class, by ``__init__`` or a copy that skips it. A graph remembers two
+per class, by ``__init__`` or a copy that skips it. A graph remembers three
 things, each a pure function of what it was computed from: its
-live-producer index for the last kitchen, and the greedy commitments of
-each heuristic, one unit per item with several producers, filled as
-searches first rank them.
+live-producer index and its finalized trees for the last kitchen, and
+the greedy commitments of each heuristic, one unit per item with several
+producers, filled as searches first rank them.
 """
 
 from __future__ import annotations
@@ -281,15 +281,17 @@ class FoonGraph(_Value):
     ``commitments`` maps a greedy heuristic's name to ``{item key: the
     producer it ranks first}``; it starts empty, and greedy search fills it
     the first time it ranks an item's several producers, so each ranking is
-    done once per graph and heuristic. Graphs compare by their units but
-    have no hash: the index is a dict, and both memos are written after
-    construction. Neither takes part in equality, ``repr`` or pickling, so
-    a copy or an unpickled graph starts with empty memos.
+    done once per graph and heuristic. :meth:`live_producers` and
+    :meth:`tree_memo` are kept for the last kitchen. Graphs compare by their
+    units but have no hash: the index is a dict, and the memos are written
+    after construction. None takes part in equality, ``repr`` or pickling,
+    so a copy or an unpickled graph starts with empty memos.
     """
 
     _fields = ("units",)
-    # _live_memo: (kitchen keys, live index); commitments: see above.
-    __slots__ = _fields + ("producers", "_live_memo", "commitments")
+    # _live_memo: (kitchen keys, live index); _tree_memo: (kitchen keys,
+    # {goal key: (sorted steps, tree or None)}); commitments: see above.
+    __slots__ = _fields + ("producers", "_live_memo", "_tree_memo", "commitments")
     __hash__ = None
 
     def __init__(self, units: Iterable[FunctionalUnit] = ()):
@@ -309,6 +311,7 @@ class FoonGraph(_Value):
         _set_graph_units(self, tuple(kept))
         _set_producers(self, _producer_index(kept))
         _set_live_memo(self, None)
+        _set_tree_memo(self, None)
         _set_commitments(self, {})
 
     def producers_of(self, key: NodeKey) -> tuple[FunctionalUnit, ...]:
@@ -332,6 +335,19 @@ class FoonGraph(_Value):
         live = _producer_index(map(self.units.__getitem__, sorted(fired)))
         _set_live_memo(self, (kitchen.keys, live))
         return live
+
+    def tree_memo(self, kitchen: Kitchen) -> dict:
+        """The finalized trees of searches against ``kitchen``, for
+        :func:`~foon.search.finalize_tree`: ``{goal key: (sorted steps, tree
+        or None)}``. It is kept for the last kitchen key set, like
+        :meth:`live_producers`, and starts empty when the key set changes.
+        """
+        memo = self._tree_memo
+        if memo is not None and (memo[0] is kitchen.keys or memo[0] == kitchen.keys):
+            return memo[1]
+        trees: dict = {}
+        _set_tree_memo(self, (kitchen.keys, trees))
+        return trees
 
     def __len__(self) -> int:
         return len(self.units)
@@ -455,7 +471,8 @@ _set_node_label, _set_node_states, _set_node_ingredients, _set_node_key = _sette
 _set_motion_label, _set_motion_rate = _setters(MotionNode)
 (_set_unit_inputs, _set_unit_motion, _set_unit_outputs, _set_unit_index,
  _set_unit_input_keys, _set_unit_output_keys, _set_unit_signature) = _setters(FunctionalUnit)
-_set_graph_units, _set_producers, _set_live_memo, _set_commitments = _setters(FoonGraph)
+(_set_graph_units, _set_producers, _set_live_memo, _set_tree_memo,
+ _set_commitments) = _setters(FoonGraph)
 _set_kitchen_nodes, _set_kitchen_keys = _setters(Kitchen)
 _set_tree_steps, _set_tree_goal = _setters(TaskTree)
 (_set_report_violations,) = _setters(ValidationReport)

@@ -22,14 +22,58 @@ the unit with the fewest inputs; ties go to the lowest unit index. An
 item's commitment among several producers is ranked once per graph and
 heuristic and kept in :attr:`FoonGraph.commitments`.
 
-Units are discovered goal-first. Both searches end in :func:`finalize_tree`:
-drop duplicate units and sort the rest by ``unit_index``. A sorted list
-that validates as it stands is the tree; any other is fired earliest ready
-first by the same forward pass from the kitchen that finds the live
-producers (:func:`~foon.core.forward_chain`), trimmed after the last goal
-producer and validated. Each returned tree is validated once. So a tree's
-step order follows from its unit set and the kitchen alone, not from the
-order its search found the units in.
+Units are discovered goal-first. Both searches end in :func:`finalize_tree`,
+which drops duplicate units (the last discovered occurrence of each stays)
+and sorts the rest by ``unit_index``. If the sorted list can run as it
+stands, it is the tree: it must be non-empty, the kitchen must hold every
+input of its first step and its last step must output the goal (checks
+whose cost does not grow with the list, and which spare a validation that
+would fail), and then :func:`~foon.core.validate_tree` must pass it.
+Otherwise :func:`~foon.core.forward_chain`, the forward pass from the
+kitchen that also finds the live producers, fires the steps earliest ready
+first: of the steps whose inputs are all there, the one with the lowest
+``unit_index`` goes next (ties, as among units built outside a graph,
+which all carry index 0, keep their reversed discovery order); the steps
+after the last goal producer are dropped and the repaired tree is
+validated. On a list that runs as it stands that pass would fire it in list
+order and drop nothing, so both ways give the same tree. So a tree's step
+order depends only on its unit set and the kitchen, not on the order its
+search found the units in, and a recipe file written in execution order
+gives trees that take one validation scan and no ordering pass. Both read
+the kitchen's key set and never copy it, so a retrieval's cost follows its
+tree, not the kitchen's size.
+
+Since the tree follows from the sorted list, the goal and the kitchen, a
+graph shares it among searches: :meth:`FoonGraph.tree_memo` holds, for the
+last kitchen key set, each goal's last sorted list and its result, a tree
+or a cycle's None. Both searches pass it to :func:`finalize_tree`, which
+returns the stored result when the new sorted list equals the stored one.
+So when IDS, GBFS-a and GBFS-b pick the same units for a goal, the later
+ones return the very tree object the first one validated and build,
+validate and repair nothing, and every returned tree object passed the
+validator exactly once. The lists are compared after the sort, element by
+element and identity first, not through a key built before it, so a search
+whose tree is new pays one dict lookup, at most one list comparison and one
+store. A goal keeps one entry, which a search that picks other units
+replaces: two greedy searches that commit apart each get their own tree.
+
+Besides its search's own working state (IDS's frames, choice points, path
+set, resolved set and trail; GBFS's frontier list and visited set), a
+retrieval allocates the goal-first discovery list and the sorted step list.
+A list whose tree is not stored adds the ``TaskTree``, ``validate_tree``'s
+list of violations and set of made keys, and a memo entry. For a list of
+two or more units, :func:`finalize_tree` and ``validate_tree`` each build
+one set of signatures; only when a unit repeats does :func:`finalize_tree`
+build its dedup set and list and ``validate_tree`` its dict of first
+positions. Only a list that needs its order repaired adds
+``forward_chain``'s five containers, the ordered step list, its
+``TaskTree`` and its validation, on top of the sorted list's failed
+validation where that one ran. Every retrieval then builds one
+:class:`SearchStats` and one :class:`SearchOutcome`. A greedy search may
+also add one entry to the graph's commitments for each item it is the first
+to rank under its heuristic (and, the first time a heuristic ranks
+anything, that heuristic's dict); later searches only read them.
+
 :data:`ALGORITHMS` maps each algorithm name to its search call.
 """
 
@@ -104,7 +148,12 @@ class SearchConfig(_Value):
 
 
 class SearchStats(_Value):
-    """Counters of one search; ``elapsed_seconds`` is its own time, not per-kitchen set-up."""
+    """Counters of one search; ``elapsed_seconds`` is its own time, not per-kitchen set-up.
+
+    A search that returns a tree an earlier search over its graph and
+    kitchen finalized (see :meth:`FoonGraph.tree_memo`) skipped building
+    and validating it, so its ``elapsed_seconds`` excludes that validation.
+    """
 
     __slots__ = _fields = ("nodes_expanded", "final_depth_bound", "elapsed_seconds")
 
@@ -159,7 +208,8 @@ def heuristic_select(candidates, mode: str) -> FunctionalUnit:
     return min(candidates, key=HEURISTICS[mode])
 
 
-def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None:
+def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen,
+                  memo: dict | None = None) -> TaskTree | None:
     """Turn a goal-first discovery list into a validated task tree.
 
     Keeps the last-discovered occurrence of each structurally identical
@@ -177,6 +227,11 @@ def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None
     the steps cannot all run in any order (a circular dependency); raises
     RuntimeError if the repaired tree still fails :func:`validate_tree`.
     Either way the returned tree is validated once, as that very object.
+
+    ``memo``, when given, is :meth:`FoonGraph.tree_memo` of ``kitchen``:
+    when it holds an equal sorted list for ``goal``, its result (a tree or
+    None) is returned as is, and no tree is built, validated or repaired;
+    otherwise the result is stored there, replacing that goal's entry.
     """
     steps: list[FunctionalUnit] = list(discovery)
     steps.reverse()
@@ -189,27 +244,33 @@ def finalize_tree(discovery, goal: NodeKey, kitchen: Kitchen) -> TaskTree | None
                 kept.append(unit)
         steps = kept
     steps.sort(key=_UNIT_INDEX)
+    if memo is not None:
+        stored = memo.get(goal)
+        if stored is not None and stored[0] == steps:
+            return stored[1]
 
     # The checks on the list's two ends cost O(1) in its length and spare a
     # validation that would fail, as on most greedy selections with a cycle.
     kitchen_keys = kitchen.keys
+    tree: TaskTree | None = None
     if (steps and goal in steps[-1].output_keys
             and kitchen_keys.issuperset(steps[0].input_keys)):
         tree = TaskTree(steps, goal)
-        if not validate_tree(kitchen, tree).violations:
-            return tree
-
-    fired, _ = forward_chain(steps, kitchen_keys)
-    ordered = [steps[pos] for pos in fired]
-    if len(ordered) < len(steps):
-        return None
-    while ordered and goal not in ordered[-1].output_keys:
-        ordered.pop()
-    tree = TaskTree(ordered, goal)
-    report = validate_tree(kitchen, tree)
-    if report.violations:
-        raise RuntimeError(f"internal error: invalid task tree for {goal}: "
-                           + "; ".join(report.violations))
+        if validate_tree(kitchen, tree).violations:
+            tree = None
+    if tree is None:
+        fired, _ = forward_chain(steps, kitchen_keys)
+        if len(fired) == len(steps):
+            ordered = [steps[pos] for pos in fired]
+            while ordered and goal not in ordered[-1].output_keys:
+                ordered.pop()
+            tree = TaskTree(ordered, goal)
+            report = validate_tree(kitchen, tree)
+            if report.violations:
+                raise RuntimeError(f"internal error: invalid task tree for {goal}: "
+                                   + "; ".join(report.violations))
+    if memo is not None:
+        memo[goal] = steps, tree
     return tree
 
 
@@ -389,14 +450,15 @@ def ids_search(
     producer is tried. Items already being resolved further up the stack
     fail at once, which bounds the search on cyclic graphs without changing
     what any bound can solve. Only producers the kitchen can feed
-    (:meth:`FoonGraph.live_producers`) are tried; that index is built off
-    the clock. Steps, tree and bound are those of rerunning every pass from
-    scratch, and ``nodes_expanded`` counts the resolver calls actually made
-    (see :func:`_deepen`).
+    (:meth:`FoonGraph.live_producers`) are tried; that index, and the
+    graph's tree memo, are fetched off the clock. Steps, tree and bound are
+    those of rerunning every pass from scratch, and ``nodes_expanded``
+    counts the resolver calls actually made (see :func:`_deepen`).
     """
     config = config or SearchConfig()
     goal_key = goal.key
     live = graph.live_producers(kitchen)
+    trees = graph.tree_memo(kitchen)
     start = time.perf_counter()
 
     tree: TaskTree | None = None
@@ -412,7 +474,7 @@ def ids_search(
     else:
         discovery, final_bound, calls = _deepen(live, kitchen.keys, goal_key, config.max_depth)
         if discovery is not None:
-            tree = finalize_tree(discovery, goal_key, kitchen)
+            tree = finalize_tree(discovery, goal_key, kitchen, trees)
             if tree is None:
                 raise RuntimeError("internal error: accepted units form a cycle")
             status = SOLVED
@@ -478,7 +540,7 @@ def gbfs_search(
     if missing is not None:
         reason = f"item cannot be produced and is not in the kitchen: {missing}"
     else:
-        tree = finalize_tree(discovery, goal_key, kitchen)
+        tree = finalize_tree(discovery, goal_key, kitchen, graph.tree_memo(kitchen))
         if tree is not None:
             status = SOLVED
         else:

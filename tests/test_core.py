@@ -221,9 +221,9 @@ def test_forward_chain_and_validate_tree_match_the_mutating_reference(monkeypatc
     """
     discoveries = []
 
-    def spy_finalize(discovery, goal, kitchen):
+    def spy_finalize(discovery, goal, kitchen, memo):
         discoveries.append(list(reversed(discovery)))
-        return finalize_tree(discovery, goal, kitchen)
+        return finalize_tree(discovery, goal, kitchen, memo)
 
     monkeypatch.setattr(foon.search, "finalize_tree", spy_finalize)
     ok = failed = deferred = 0
@@ -425,7 +425,7 @@ def _value_pairs():
          MotionNode("Pour", 0.5), MotionNode("pour ", success_rate=0.5)),
         (FunctionalUnit, ("inputs", "motion", "outputs", "unit_index"),
          ("input_keys", "output_keys", "signature"), mix, mix_again),
-        (FoonGraph, ("units",), ("producers", "_live_memo"),
+        (FoonGraph, ("units",), ("producers", "_live_memo", "_tree_memo"),
          build_graph([mix]), build_graph([mix_again])),
         (Kitchen, ("nodes",), ("keys",),
          Kitchen([ice, obj("glass")]),
@@ -518,13 +518,28 @@ class TestValueSemantics:
 
 
 def test_the_live_producer_memo_is_the_graph_s_only_write(chain):
-    graph, kitchen, _ = chain
-    assert graph._live_memo is None
+    """Both per-kitchen memos, the live-producer index and the finalized
+    trees, start empty, are kept for the last kitchen key set, start empty
+    again in a copy or an unpickled graph, and cannot be assigned."""
+    graph, kitchen, goal = chain
+    assert graph._live_memo is None and graph._tree_memo is None
     live = graph.live_producers(kitchen)
     assert graph._live_memo == (kitchen.keys, live)
     assert graph.live_producers(Kitchen(kitchen.nodes)) is live
-    with pytest.raises(AttributeError):
-        graph._live_memo = None
+    trees = graph.tree_memo(kitchen)
+    assert trees == {} and graph._tree_memo == (kitchen.keys, trees)
+    tree = run_algorithm("ids", graph, kitchen, goal).tree
+    assert graph.tree_memo(Kitchen(kitchen.nodes)) is trees
+    assert trees == {goal.key: (list(tree.steps), tree)}
+    assert run_algorithm("gbfs_a", graph, kitchen, goal).tree is tree
+    for again in (pickle.loads(pickle.dumps(graph)), copy.copy(graph), copy.deepcopy(graph)):
+        assert again._live_memo is None and again._tree_memo is None
+    other = Kitchen([])
+    assert graph.tree_memo(other) == {} and graph._tree_memo[0] is other.keys
+    assert graph.tree_memo(kitchen) == {}
+    for name in ("_live_memo", "_tree_memo"):
+        with pytest.raises(AttributeError):
+            setattr(graph, name, None)
     assert FoonGraph().producers == {} and FoonGraph().producers is not FoonGraph().producers
 
 

@@ -1,6 +1,7 @@
 """Smoke test: each script under ``scripts/`` runs and prints something."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,4 @@ def test_compare_search_algorithms_runs():
     result = run_script("compare_search_algorithms.py", "--instances", "20")
     assert result.returncode == 0, result.stderr
     assert "ids" in result.stdout and "gbfs_b" in result.stdout
+    assert re.search(r"^greedy trees equal to the IDS tree: \d+ of \d+$", result.stdout, re.M)

@@ -1,4 +1,5 @@
 import collections
+import importlib.util
 import itertools
 import pickle
 import random
@@ -6,6 +7,7 @@ import sys
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -22,11 +24,16 @@ from foon import (
     FunctionalUnit,
     Kitchen,
     SearchConfig,
+    apply_motion_rates,
     build_graph,
     finalize_tree,
     gbfs_search,
     heuristic_select,
     ids_search,
+    parse_foon_text,
+    parse_goals,
+    parse_kitchen,
+    parse_motion_rates,
     reachable_oracle,
     run_algorithm,
     validate_tree,
@@ -197,6 +204,31 @@ class TestFinalizeTree:
         assert len(ordering) == 1
         assert checked == []
 
+    def test_a_memo_returns_the_stored_result_of_an_equal_sorted_list(self, monkeypatch):
+        """A memo hands back the tree, or a cycle's None, stored for a goal
+        when the sorted list is equal, however the discovery list was
+        ordered or repeated, with no validation or ordering pass. Another
+        list for the goal is finalized and replaces the entry."""
+        ordering, checked = _spy_finalize_calls(monkeypatch)
+        kitchen, g, h = Kitchen([obj("a")]), obj("g").key, obj("h").key
+        u1 = unit([obj("a")], "m1", [obj("b")], index=0)
+        u2 = unit([obj("b")], "m2", [obj("g")], index=1)
+        u3 = unit([obj("a")], "m3", [obj("g")], index=2)
+        memo = {}
+        tree = finalize_tree([u2, u1], g, kitchen, memo)
+        assert memo == {g: ([u1, u2], tree)} and len(checked) == 1
+        assert finalize_tree([u1, u2, u1], g, kitchen, memo) is tree
+        assert len(checked) == 1 and ordering == []
+        other = finalize_tree([u3], g, kitchen, memo)
+        assert other.steps == (u3,) and memo == {g: ([u3], other)} and len(checked) == 2
+        assert finalize_tree([u2, u1], g, kitchen, memo) == tree and len(checked) == 3
+
+        c1 = unit([obj("b")], "m1", [obj("c")], index=0)
+        c2 = unit([obj("c")], "m2", [obj("b"), obj("h")], index=1)
+        assert finalize_tree([c2, c1], h, kitchen, memo) is None
+        assert memo[h] == ([c1, c2], None) and len(ordering) == 1
+        assert finalize_tree([c1, c2], h, kitchen, memo) is None and len(ordering) == 1
+
     def test_matches_the_three_pass_reference(self):
         """Differential check against the reversal order on the randgen corpus.
 
@@ -261,9 +293,9 @@ class TestFinalizeTree:
         is also the tree of shuffled copies of it, with duplicates added."""
         discoveries = []
 
-        def spy_finalize(discovery, goal, kitchen):
+        def spy_finalize(discovery, goal, kitchen, memo):
             discoveries.append((list(discovery), goal))
-            return finalize_tree(discovery, goal, kitchen)
+            return finalize_tree(discovery, goal, kitchen, memo)
 
         monkeypatch.setattr(foon.search, "finalize_tree", spy_finalize)
         reordered = 0
@@ -285,40 +317,54 @@ class TestFinalizeTree:
         assert reordered > 350, reordered
 
     def test_each_returned_tree_is_validated_once(self, monkeypatch):
-        """On the randgen corpus, every tree that ``ids_search`` or
-        ``gbfs_search`` returns went through exactly one call of
-        ``foon.search.validate_tree``, on that very tree, and that call was
-        the last. At most one call came before it: on the sorted candidate,
-        whose report had violations. A search that returns no tree makes at
-        most one call, and that call fails."""
-        _, checked = _spy_finalize_calls(monkeypatch)
+        """On the randgen corpus, every tree object that ``ids_search`` or
+        ``gbfs_search`` returns went through exactly one ok call of
+        ``foon.search.validate_tree``. A search that validates a tree makes
+        that call last, on the tree it returns; at most one call came
+        before it, on the sorted candidate, whose report had violations. A
+        search that makes no call returns what an earlier search over the
+        same graph and kitchen returned, that very object when it is a
+        tree. A search that returns no tree makes at most one call, and
+        that call fails."""
+        ordering, checked = _spy_finalize_calls(monkeypatch)
         discoveries = []
 
-        def spy_finalize(discovery, goal, kitchen):
+        def spy_finalize(discovery, goal, kitchen, memo):
             discoveries.append(list(discovery))
-            return finalize_tree(discovery, goal, kitchen)
+            return finalize_tree(discovery, goal, kitchen, memo)
 
         monkeypatch.setattr(foon.search, "finalize_tree", spy_finalize)
-        trees = repaired = 0
+        trees = repaired = reused = 0
         for seed in range(400):
             instance = random_instance(seed, acyclic=(seed % 3 == 0))
+            returned, passed = [], []
             for name in ALGORITHMS:
                 outcome = run_algorithm(name, instance.graph, instance.kitchen, instance.goal)
+                passed += [tree for tree, report in checked if report.ok]
                 earlier = checked
-                if outcome.tree is not None:
+                if outcome.tree is not None and checked:
                     last_tree, last_report = checked[-1]
                     assert last_tree is outcome.tree and last_report.ok, (seed, name)
                     earlier = checked[:-1]
                     trees += 1
+                elif discoveries and not checked and not ordering:
+                    assert any(outcome.tree is tree for tree in returned), (seed, name)
+                    reused += outcome.tree is not None
                 assert len(earlier) <= 1, (seed, name)
                 for candidate, report in earlier:
                     assert not report.ok, (seed, name)
                     assert candidate.steps == _sorted_candidate(discoveries[0]), (seed, name)
                     repaired += outcome.tree is not None
+                returned.append(outcome.tree)
                 checked.clear()
+                ordering.clear()
                 discoveries.clear()
-        # 582 trees, 2 of them repaired after a failed validation.
-        assert trees > 500 and repaired > 0, (trees, repaired)
+            for tree in returned:
+                if tree is not None:
+                    assert sum(tree is ok_tree for ok_tree in passed) == 1, seed
+        # Of 582 trees returned, 288 were validated, 2 of them repaired after
+        # a failed validation, and 294 were returned again.
+        assert trees > 250 and repaired > 0 and reused > 250, (trees, repaired, reused)
 
 
 def _spy_finalize_calls(monkeypatch):
@@ -384,11 +430,12 @@ def _finalize_corpus(seed):
 
 def test_every_layered_tree_is_ordered_in_one_scan(layered, monkeypatch):
     """The work of ordering, as a count: on the layered fixture, each of the
-    78 trees of the three algorithms is its sorted units in list order, so
-    ``finalize_tree`` accepts it after one validation, the scan that
-    checks it, and never calls ``forward_chain``. The kitchen pass behind
-    the live-producer index runs once over the whole graph, for all 78
-    searches."""
+    26 IDS trees is its sorted units in list order, so ``finalize_tree``
+    accepts it after one validation, the scan that checks it, and never
+    calls ``forward_chain``. Both greedy searches of a goal pick the IDS
+    tree's units and return that very tree, with no validation, so the 78
+    searches make 26. The kitchen pass behind the live-producer index runs
+    once over the whole graph, for all 78 searches."""
     ordering, checked = _spy_finalize_calls(monkeypatch)
     graph_passes = []
 
@@ -400,23 +447,82 @@ def test_every_layered_tree_is_ordered_in_one_scan(layered, monkeypatch):
     graph, kitchen, goals = layered
     trees = []
     for goal in goals:
-        for name in ALGORITHMS:
-            outcome = run_algorithm(name, graph, kitchen, goal)
-            assert outcome.solved
-            trees.append(outcome.tree)
-    assert len(trees) == 78 and len(checked) == 78
+        ids_tree, *greedy = [run_algorithm(name, graph, kitchen, goal).tree
+                             for name in ALGORITHMS]
+        assert ids_tree is not None and all(tree is ids_tree for tree in greedy), goal
+        trees.append(ids_tree)
+    assert len(trees) == 26 and len(checked) == 26
     assert ordering == []
-    assert all(tree is checked_tree for tree, (checked_tree, _) in zip(trees, checked))
+    assert all(tree is checked_tree and report.ok
+               for tree, (checked_tree, report) in zip(trees, checked))
     assert graph_passes == [True]
+
+
+def _benchmark_inputs(workload, seed):
+    """The graph, kitchen and goals of a benchmark workload, from the input
+    files that ``perfbench/workloads.py`` writes for ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up
+    try:
+        spec.loader.exec_module(module)
+        files = {name: data.decode("utf-8")
+                 for name, data in module.WORKLOADS[workload](seed).files().items()}
+    finally:
+        del sys.modules[spec.name]
+    units, _ = parse_foon_text(files["foon.txt"])
+    units = apply_motion_rates(units, parse_motion_rates(files["rates.json"]))
+    return FoonGraph(units), parse_kitchen(files["kitchen.json"]), parse_goals(files["goals.json"])
+
+
+# Benchmark workload -> the calls of finalize_tree, validate_tree and
+# forward_chain (its repairs) in one pass of every goal and algorithm on a
+# fresh graph at seed 7, and the searches that returned an earlier tree.
+# Before the graph kept finalized trees, every finalized list was
+# validated (300, 231 and 415 calls) and mixed-corpus made 103 repairs.
+WORKLOAD_WORK = {
+    "layered-batch": (300, 100, 0, 200),
+    "trap-deep": (231, 105, 0, 126),
+    "mixed-corpus": (488, 197, 87, 217),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_WORK))
+def test_each_benchmark_tree_is_finalized_once(workload, monkeypatch):
+    """The work the shared trees save, as exact counts on the benchmark's
+    inputs at seed 7: a search that picks the units an earlier search of
+    its goal picked returns that tree with no validation or repair."""
+    graph, kitchen, goals = _benchmark_inputs(workload, 7)
+    ordering, checked = _spy_finalize_calls(monkeypatch)
+    finalized = []
+
+    def spy_finalize(discovery, goal, kitchen, memo):
+        finalized.append(goal)
+        return finalize_tree(discovery, goal, kitchen, memo)
+
+    monkeypatch.setattr(foon.search, "finalize_tree", spy_finalize)
+    returned = {}
+    reused = 0
+    for goal in goals:
+        for name in ALGORITHMS:
+            tree = run_algorithm(name, graph, kitchen, goal).tree
+            if tree is not None:
+                reused += id(tree) in returned
+                returned[id(tree)] = tree
+    work = (len(finalized), len(checked), len(ordering), reused)
+    assert work == WORKLOAD_WORK[workload]
 
 
 def test_each_layered_step_signature_is_read_once_per_check(layered, monkeypatch):
     """The work of the repeat checks, as a count: no discovery list of the
-    layered fixture's 78 searches repeats a unit, so ``finalize_tree`` and
-    ``validate_tree`` each read a step's signature once in a tree of two or
-    more steps, to build the one set that shows it, and never in a one-step
-    tree. The count starts after set-up, so the reads of the graph's own
-    dedup are not in it, and no signature is read outside the two."""
+    layered fixture's 78 searches repeats a unit, so ``finalize_tree``
+    reads a step's signature once in a tree of two or more steps, to build
+    the one set that shows it, and never in a one-step tree.
+    ``validate_tree`` does the same in the IDS search of each goal, and the
+    greedy searches, which return the IDS tree, do not call it. The count
+    starts after set-up, so the reads of the graph's own dedup are not in
+    it, and no signature is read outside the two."""
     graph, kitchen, goals = layered
     slot = FunctionalUnit.__dict__["signature"]
     reads = {"search": 0, "finalize": 0, "validate": 0}
@@ -445,7 +551,8 @@ def test_each_layered_step_signature_is_read_once_per_check(layered, monkeypatch
             outcome = run_algorithm(name, graph, kitchen, goal)
             steps = len(outcome.tree.steps)
             once = steps if steps > 1 else 0
-            assert reads == {"search": 0, "finalize": once, "validate": once}, (goal, name)
+            validated = once if name == "ids" else 0
+            assert reads == {"search": 0, "finalize": once, "validate": validated}, (goal, name)
             sizes[steps > 1] += 1
     assert sizes[False] > 0 and sizes[True] > 0 and sum(sizes.values()) == 78, sizes
 
@@ -460,9 +567,9 @@ def test_a_unit_discovered_twice_is_one_step(monkeypatch):
     split, join = graph.units
     discoveries = []
 
-    def spy_finalize(discovery, goal, kitchen):
+    def spy_finalize(discovery, goal, kitchen, memo):
         discoveries.append(list(discovery))
-        return finalize_tree(discovery, goal, kitchen)
+        return finalize_tree(discovery, goal, kitchen, memo)
 
     monkeypatch.setattr(foon.search, "finalize_tree", spy_finalize)
     for heuristic in HEURISTICS:
@@ -845,9 +952,9 @@ class TestGbfsSearch:
         """
         discoveries = []
 
-        def spy_finalize(discovery, goal, kitchen):
+        def spy_finalize(discovery, goal, kitchen, memo):
             discoveries.append(list(discovery))
-            return finalize_tree(discovery, goal, kitchen)
+            return finalize_tree(discovery, goal, kitchen, memo)
 
         monkeypatch.setattr(foon.search, "finalize_tree", spy_finalize)
         choices = several = ties = reads = 0
@@ -944,16 +1051,114 @@ def test_search_agreement_on_chain(chain):
         assert signatures(gbfs_tree) == signatures(ids_tree)
 
 
+def _outcome_fields(outcome):
+    """What a search reports, apart from its time; a tree by its steps and goal."""
+    stats = outcome.stats
+    return (outcome.status, outcome.tree, outcome.reason,
+            outcome.missing_key, stats.nodes_expanded, stats.final_depth_bound)
+
+
+def _every_item(graph):
+    """Each node some unit of ``graph`` outputs, once, in unit order."""
+    return list({node.key: node for unit_ in graph.units for node in unit_.outputs}.values())
+
+
+def _shared_tree_cases():
+    """``(case, graph, two kitchens, goals)``: every randgen instance of seeds
+    0-399 with its pool as goals, and each family of ``tests/families.py``
+    with its goal and its items, against its own kitchen and one that also
+    holds every fifth item."""
+    for seed in range(400):
+        instance = random_instance(seed, acyclic=(seed % 3 == 0))
+        pool = instance.pool
+        other = Kitchen([node for node in pool if node.key not in instance.kitchen][::2])
+        yield seed, instance.graph, (instance.kitchen, other), pool
+    families = {
+        "long_chain": long_chain(30), "trap": trap(12, 6), "detour_chain": detour_chain(),
+        "wide_then_deep": wide_then_deep(4, 10, 30), "side_output": side_output(),
+        "forked_chain": forked_chain(), "ladder": ladder(6, 2), "diamond": diamond(6),
+    }
+    for name, (graph, kitchen, goal) in families.items():
+        items = _every_item(graph)
+        yield name, graph, (kitchen, Kitchen([*kitchen.nodes, *items[::5]])), [goal, *items]
+    graph, kitchen, goals = merged_recipes(0, 12, 3, 4)
+    items = _every_item(graph)
+    yield "merged_recipes", graph, (kitchen, Kitchen([*kitchen.nodes, *items[::5]])), goals
+
+
+def test_a_shared_tree_is_the_tree_of_a_fresh_graph():
+    """Differential check of the graph's finalized-tree memo. Every
+    algorithm searches each goal on one graph, against two kitchens by
+    turns: on even cases each goal against both kitchens in turn, on odd
+    cases every goal against one kitchen and then the other. Each outcome
+    equals that of the same search on a fresh graph, whose memos are
+    empty, in tree steps, status, reason, missing key, expansions and
+    final depth bound. A search returns an earlier search's tree object
+    only over the same kitchen."""
+    searches = reused = 0
+    for number, (case, graph, kitchens, goals) in enumerate(_shared_tree_cases()):
+        shared = FoonGraph(graph.units)
+        if number % 2:
+            jobs = [(goal, kitchen) for kitchen in kitchens for goal in goals]
+        else:
+            jobs = [(goal, kitchen) for goal in goals for kitchen in kitchens]
+        returned = {}
+        for goal, kitchen in jobs:
+            for name in ALGORITHMS:
+                outcome = run_algorithm(name, shared, kitchen, goal)
+                fresh = run_algorithm(name, FoonGraph(graph.units), kitchen, goal)
+                assert _outcome_fields(outcome) == _outcome_fields(fresh), (case, goal, name)
+                searches += 1
+                if outcome.tree is not None:
+                    # The dict holds each tree, so no id is reused.
+                    count = len(returned)
+                    _, first = returned.setdefault(id(outcome.tree), (outcome.tree, kitchen))
+                    assert first is kitchen, (case, goal, name)
+                    reused += len(returned) == count
+    # 32,484 searches, 9,432 of which returned an earlier search's tree.
+    assert searches > 30_000 and reused > 9_000, (searches, reused)
+
+
+@pytest.mark.parametrize("rated", [False, True], ids=["equal rates", "boil rated higher"])
+def test_greedy_searches_that_commit_apart_get_their_own_trees(rated):
+    """Hot tea comes from steep, after pouring and heating a cup, or from
+    boil, from the pitcher and an empty glass; IDS takes boil. With equal
+    rates both greedy searches commit to steep (the lower unit index), so
+    gbfs_b returns gbfs_a's tree. With boil rated 0.9 and steep 0.5,
+    gbfs_a commits to boil and returns the IDS tree, while gbfs_b, which
+    prefers steep's one input, gets a tree of its own. Each tree equals
+    that of a fresh graph."""
+    pitcher, glass = obj("pitcher", ["contains"], ["water"]), obj("drinking glass", ["empty"])
+    full, hot, tea = obj("cup", ["full"]), obj("cup", ["hot"]), obj("tea", ["hot"])
+    graph = build_graph([
+        unit([pitcher], "pour", [full], 0),
+        unit([full], "heat", [hot], 1),
+        unit([hot], "steep", [tea], 2, rate=0.5 if rated else 1.0),
+        unit([pitcher, glass], "boil", [tea], 3, rate=0.9 if rated else 1.0),
+    ])
+    pour, heat, steep, boil = graph.units
+    kitchen = Kitchen([pitcher, glass])
+    trees = {name: run_algorithm(name, graph, kitchen, tea).tree for name in ALGORITHMS}
+    assert trees["ids"].steps == (boil,)
+    assert trees["gbfs_b"].steps == (pour, heat, steep)
+    if rated:
+        assert trees["gbfs_a"] is trees["ids"]
+    else:
+        assert trees["gbfs_a"].steps == (pour, heat, steep)
+        assert trees["gbfs_b"] is trees["gbfs_a"]
+    for name, tree in trees.items():
+        assert tree == run_algorithm(name, FoonGraph(graph.units), kitchen, tea).tree, name
+        assert validate_tree(kitchen, tree).ok, name
+
+
 def test_searches_over_one_graph_can_run_concurrently():
     """Four threads run every (goal, algorithm) of a few randgen instances on
     one shared graph, each pair against two kitchens by turns, so the
-    live-producer memo changes hands while greedy searches fill the
+    per-kitchen memos change hands while greedy searches fill the
     commitments. Every outcome, and the graph's commitments afterwards,
-    equal those of a serial run of the same searches on a fresh graph."""
-    def fields(outcome):
-        stats = outcome.stats
-        return (outcome.status, outcome.tree and outcome.tree.steps, stats.nodes_expanded,
-                stats.final_depth_bound, outcome.missing_key, outcome.reason)
+    equal those of a serial run of the same searches on a fresh graph, and
+    every tree a thread returns validates against the kitchen it searched."""
+    fields = _outcome_fields
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # hand the GIL over often, so searches interleave
@@ -974,12 +1179,15 @@ def test_searches_over_one_graph_can_run_concurrently():
             def run(job):
                 threads.add(threading.get_ident())
                 name, goal, kitchen = job
-                return fields(run_algorithm(name, shared, kitchen, goal))
+                return run_algorithm(name, shared, kitchen, goal)
 
             with ThreadPoolExecutor(max_workers=4) as executor:
                 threaded = list(executor.map(run, jobs, timeout=60))
             assert len(threads) > 1, seed
-            assert threaded == serial, seed
+            assert [fields(outcome) for outcome in threaded] == serial, seed
+            for (name, goal, kitchen), outcome in zip(jobs, threaded):
+                if outcome.tree is not None:
+                    assert validate_tree(kitchen, outcome.tree).ok, (seed, name, goal)
             assert shared.commitments == serial_graph.commitments, seed
     finally:
         sys.setswitchinterval(switch)
